@@ -187,21 +187,32 @@ void BM_SimdTffAddColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdTffAddColumns)->Apply(add_simd_levels);
 
-void BM_SimdTffAddFields(benchmark::State& state) {
-  // Field-packed stateless TFF at the paper's 4-bit operating point:
-  // every word carries four complete 16-cycle streams.
+void BM_SimdFieldConvFrame(benchmark::State& state) {
+  // The register-resident strip kernel at the paper's 4-bit operating
+  // point: one 28x28 frame through 32 kernels (both TFF trees per output),
+  // random product tables, per dispatch level.
   const auto level = bench_level(state);
-  constexpr std::size_t kWords = 1024;  // L1-resident: measure ALU, not bandwidth
-  const auto x = random_words(kWords, 5), y = random_words(kWords, 6);
-  std::vector<std::uint64_t> z(kWords);
+  std::mt19937_64 rng(5);
+  sc::simd::FieldConvSpec spec;
+  spec.bits = 4;
+  spec.kernels = 32;
+  spec.products.resize(17 * 17);
+  for (auto& p : spec.products) p = rng() & 0xFFFF;
+  for (int i = 0; i < spec.kernels * 25; ++i) {
+    spec.tap_pos.push_back(static_cast<std::uint32_t>(rng() % 17));
+    spec.tap_neg.push_back(static_cast<std::uint32_t>(rng() % 17));
+  }
+  const sc::simd::FieldConv conv(spec, level);
+  std::vector<std::uint8_t> levels(28 * 28);
+  for (auto& l : levels) l = static_cast<std::uint8_t>(rng() % 17);
+  std::vector<float> out(32 * 28 * 28);
   for (auto _ : state) {
-    sc::simd::tff_add_fields(x.data(), y.data(), z.data(), kWords, 16, false,
-                             level);
+    conv.run(levels.data(), out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(kWords));
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SimdTffAddFields)->Apply(add_simd_levels);
+BENCHMARK(BM_SimdFieldConvFrame)->Apply(add_simd_levels);
 
 void BM_SimdMuxSelectColumns(benchmark::State& state) {
   const auto level = bench_level(state);

@@ -209,11 +209,16 @@ class SpscRing {
   /// Wait until at least one slot is readable (spin, then timed futex
   /// park). Returns the number readable; 0 only when the ring is closed
   /// and fully drained.
+  ///
+  /// The producer may publish its last slots and close between this
+  /// consumer's size() and closed() reads, so a closed ring is measured
+  /// again: the acquire on `closed` makes every slot published before
+  /// close() visible.
   std::size_t wait_nonempty() noexcept {
     for (int spin = 0; spin < kSpinIters; ++spin) {
       const std::size_t n = size();
       if (n > 0) return n;
-      if (closed()) return 0;
+      if (closed()) return size();
       detail::cpu_relax();
     }
     while (true) {
@@ -221,7 +226,7 @@ class SpscRing {
           ctl_->data_bell.load(std::memory_order_acquire);
       std::size_t n = size();
       if (n > 0) return n;
-      if (closed()) return 0;
+      if (closed()) return size();
       ctl_->consumer_parked.store(1, std::memory_order_seq_cst);
       n = size();
       if (n > 0) {

@@ -1,6 +1,5 @@
 #include "hybrid/binary_first_layer.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace scbnn::hybrid {
@@ -34,8 +33,7 @@ void BinaryFirstLayer::compute_one(const float* image, float* out) const {
   // Quantize the image once: levels in [0, 2^bits].
   long x[kImageSize * kImageSize];
   for (int i = 0; i < kImageSize * kImageSize; ++i) {
-    const float v = image[i] < 0.0f ? 0.0f : (image[i] > 1.0f ? 1.0f : image[i]);
-    x[i] = std::lround(static_cast<double>(v) * static_cast<double>(full));
+    x[i] = static_cast<long>(quantize_pixel(image[i], bits_));
   }
   // The threshold compares against the normalized value dot / 2^(2 bits).
   const double norm = static_cast<double>(full) * static_cast<double>(full);

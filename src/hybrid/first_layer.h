@@ -15,6 +15,8 @@
 // count — same seed, same features, bit for bit.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -29,6 +31,17 @@ inline constexpr int kKernelSize = 5;
 inline constexpr int kPad = 2;                      // 'same' padding
 inline constexpr int kFanIn = kKernelSize * kKernelSize;
 inline constexpr int kOutputsPerKernel = kImageSize * kImageSize;  // 784 units
+
+/// The analog-to-stochastic converter's quantizer, shared by every engine:
+/// pixel -> level in [0, 2^bits], rounded half away from zero. Values
+/// outside [0, 1] and +-Inf clamp to the range; NaN maps to level 0.
+[[nodiscard]] inline std::uint32_t quantize_pixel(float x,
+                                                  unsigned bits) noexcept {
+  const float v = x > 0.0f ? (x < 1.0f ? x : 1.0f) : 0.0f;  // NaN -> 0
+  return static_cast<std::uint32_t>(
+      std::lround(static_cast<double>(v) *
+                  static_cast<double>(std::uint32_t{1} << bits)));
+}
 
 struct FirstLayerConfig {
   unsigned bits = 8;           ///< stream/weight precision (2..8 in the paper)

@@ -1,7 +1,6 @@
 #include "hybrid/sc_first_layer.h"
 
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include "sc/lfsr.h"
@@ -154,9 +153,7 @@ void StochasticFirstLayer::compute_one(const float* image, float* out,
   // converter's resolution).
   std::uint32_t x[kImageSize * kImageSize];
   for (int i = 0; i < kImageSize * kImageSize; ++i) {
-    const float v = image[i] < 0.0f ? 0.0f : (image[i] > 1.0f ? 1.0f : image[i]);
-    x[i] = static_cast<std::uint32_t>(
-        std::lround(static_cast<double>(v) * full));
+    x[i] = quantize_pixel(image[i], bits_);
   }
 
   std::vector<std::uint64_t>& pos_slots = scratch.pos;

@@ -1,21 +1,27 @@
 #include "hybrid/sc_first_layer_fast.h"
 
-#include <bit>
-#include <cmath>
 #include <stdexcept>
-
-#include "sc/packed.h"
 
 namespace scbnn::hybrid {
 
 namespace {
 
-// Strip blocks are padded to a ymm-multiple of words so the vector kernels
-// never fall into their scalar tails. Padding words carry don't-care data:
-// in field-packed mode every kernel is stateless per word, so junk never
-// leaks into the meaningful words, and the root extraction reads only real
-// positions.
-constexpr std::size_t pad4(std::size_t words) { return (words + 3) & ~std::size_t{3}; }
+/// The reference engine's output rule, v = diff * 32/N compared in double
+/// precision against +-threshold, as integer cutoffs on diff in [-N, N]:
+/// +1 iff diff >= hi, else -1 iff diff <= lo. Rounded multiplication by a
+/// positive constant is monotone, so each comparison holds on a contiguous
+/// run of diffs; evaluating the exact expression at every diff finds its
+/// ends (none for a NaN threshold).
+void threshold_cutoffs(long n, double threshold, int& hi, int& lo) {
+  const double count_to_value = 32.0 / static_cast<double>(n);
+  hi = static_cast<int>(n + 1);
+  lo = static_cast<int>(-n - 1);
+  for (long diff = -n; diff <= n; ++diff) {
+    const double v = static_cast<double>(diff) * count_to_value;
+    if (v > threshold && hi > n) hi = static_cast<int>(diff);
+    if (v < -threshold) lo = static_cast<int>(diff);
+  }
+}
 
 }  // namespace
 
@@ -26,13 +32,8 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
       bits_(config.bits),
       n_(std::size_t{1} << config.bits),
       words_((n_ + 63) / 64),
-      fields_(n_ <= 64 ? 64 / n_ : 1),
-      packed_(n_ <= 64),
-      half_words_(packed_ ? pad4((kRow + fields_ - 1) / fields_)
-                          : words_ * kRow),
-      block_words_(2 * half_words_),
+      block_words_(2 * words_ * kRow),
       kernels_(static_cast<int>(weights.kernels.size())),
-      soft_threshold_(config.soft_threshold),
       level_(sc::simd::active_level()) {
   if (weights.bits != config.bits) {
     throw std::invalid_argument("FastStochasticFirstLayer: bits mismatch");
@@ -41,6 +42,8 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
     throw std::invalid_argument(
         "FastStochasticFirstLayer: unsupported geometry");
   }
+  threshold_cutoffs(static_cast<long>(n_), config.soft_threshold, cut_hi_,
+                    cut_lo_);
 
   // Same stream tables as the reference engine — bit-identity starts here.
   const std::vector<std::uint64_t> input_table =
@@ -55,8 +58,7 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
   std::vector<std::int32_t> dense_of_level(level_count, -1);
   std::vector<std::uint32_t> dense_levels;
   const std::size_t ntaps = static_cast<std::size_t>(kernels_) * kFanIn;
-  tap_dense_pos_.resize(ntaps);
-  tap_dense_neg_.resize(ntaps);
+  std::vector<std::uint32_t> tap_pos(ntaps), tap_neg(ntaps);
   for (int k = 0; k < kernels_; ++k) {
     const auto& lv = weights.kernels[static_cast<std::size_t>(k)].levels;
     for (int t = 0; t < kFanIn; ++t) {
@@ -71,16 +73,16 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
         }
       }
       const std::size_t kt = static_cast<std::size_t>(k) * kFanIn + t;
-      tap_dense_pos_[kt] = static_cast<std::uint32_t>(dense_of_level[pos]);
-      tap_dense_neg_[kt] = static_cast<std::uint32_t>(dense_of_level[neg]);
+      tap_pos[kt] = static_cast<std::uint32_t>(dense_of_level[pos]);
+      tap_neg[kt] = static_cast<std::uint32_t>(dense_of_level[neg]);
     }
   }
-  lut_stride_ = level_count * words_;
-  prod_.assign(dense_levels.size() * lut_stride_, 0u);
+  const std::size_t lut_stride = level_count * words_;
+  std::vector<std::uint64_t> prod(dense_levels.size() * lut_stride, 0u);
   for (std::size_t d = 0; d < dense_levels.size(); ++d) {
     const std::uint64_t* wrow =
         wtable.data() + static_cast<std::size_t>(dense_levels[d]) * words_;
-    std::uint64_t* row = prod_.data() + d * lut_stride_;
+    std::uint64_t* row = prod.data() + d * lut_stride;
     for (std::size_t xlev = 0; xlev < level_count; ++xlev) {
       const std::uint64_t* xrow = input_table.data() + xlev * words_;
       for (std::size_t w = 0; w < words_; ++w) {
@@ -88,111 +90,70 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
       }
     }
   }
-
-  // Packed mode: enumerate the (pos level, neg level, horizontal offset)
-  // triples the row cache must materialize, and the pair each tap reads.
-  if (packed_) {
-    const std::size_t nd = dense_levels.size();
-    std::vector<std::int32_t> pair_of(nd * nd * kKernelSize, -1);
-    tap_pair_.resize(ntaps);
-    for (std::size_t kt = 0; kt < ntaps; ++kt) {
-      const int kj = static_cast<int>(kt % kFanIn) % kKernelSize;
-      const std::size_t key =
-          (static_cast<std::size_t>(tap_dense_pos_[kt]) * nd +
-           tap_dense_neg_[kt]) *
-              kKernelSize +
-          static_cast<std::size_t>(kj);
-      if (pair_of[key] < 0) {
-        pair_of[key] = static_cast<std::int32_t>(npairs_++);
-        pair_dense_pos_.push_back(tap_dense_pos_[kt]);
-        pair_dense_neg_.push_back(tap_dense_neg_[kt]);
-        pair_dx_.push_back(kj - kPad);
-      }
-      tap_pair_[kt] = static_cast<std::uint32_t>(pair_of[key]);
-    }
-  }
-
+  std::vector<std::uint64_t> selects;
   if (style_ == Style::kConventional) {
-    selects_ =
+    selects =
         detail::sc_mux_select_table(bits_, config.seed, n_, words_, kSlots - 1);
-    if (packed_) {
-      selects_packed_.resize(kSlots - 1);
-      for (std::size_t nd = 0; nd < static_cast<std::size_t>(kSlots - 1);
-           ++nd) {
-        std::uint64_t sp = 0;
-        for (std::size_t f = 0; f < fields_; ++f) {
-          sp |= selects_[nd] << (f * n_);
-        }
-        selects_packed_[nd] = sp;
-      }
-    }
   }
 
+  if (n_ <= 64) {
+    // One word per stream: the LUT rows and selects are exactly what the
+    // strip kernel consumes.
+    sc::simd::FieldConvSpec spec;
+    spec.bits = bits_;
+    spec.mux = style_ == Style::kConventional;
+    spec.kernels = kernels_;
+    spec.products = std::move(prod);
+    spec.tap_pos = std::move(tap_pos);
+    spec.tap_neg = std::move(tap_neg);
+    spec.selects = std::move(selects);
+    spec.cut_hi = cut_hi_;
+    spec.cut_lo = cut_lo_;
+    strip_.emplace(std::move(spec), level_);
+    return;
+  }
+  lut_stride_ = lut_stride;
+  prod_ = std::move(prod);
+  tap_dense_pos_ = std::move(tap_pos);
+  tap_dense_neg_ = std::move(tap_neg);
+  selects_ = std::move(selects);
   zero_block_.assign(block_words_, 0u);
 }
 
 std::unique_ptr<FirstLayerEngine::Scratch>
 FastStochasticFirstLayer::make_scratch() const {
-  return std::make_unique<RowScratch>(
-      packed_ ? npairs_ * kRow * block_words_ : 0,
-      packed_ ? 0 : static_cast<std::size_t>(kFanIn) * block_words_,
-      16 * block_words_);
+  if (strip_) return FirstLayerEngine::make_scratch();
+  return std::make_unique<ColumnScratch>(
+      static_cast<std::size_t>(kFanIn) * block_words_, 16 * block_words_);
 }
 
 void FastStochasticFirstLayer::compute_batch(const float* images, int n,
                                              float* out,
                                              Scratch& scratch) const {
-  auto& s = dynamic_cast<RowScratch&>(scratch);
   const std::size_t in_stride = kImageSize * kImageSize;
   const std::size_t out_stride =
       static_cast<std::size_t>(kernels_) * kOutputsPerKernel;
-  for (int i = 0; i < n; ++i) {
-    compute_one(images + static_cast<std::size_t>(i) * in_stride,
-                out + static_cast<std::size_t>(i) * out_stride, s);
-  }
-}
-
-void FastStochasticFirstLayer::build_row_cache(RowScratch& s) const {
-  // One packed product strip per (pair, input row): field f of word g is
-  // the product stream for output position ox = g*fields_ + f, reading
-  // pixel ix = ox + dx (zero outside the image — level-0 input streams are
-  // all-zero, and so are their products, so edges need no special casing
-  // downstream). The pos half fills words [0, half_words_), the neg half
-  // [half_words_, 2*half_words_).
-  const unsigned shift = static_cast<unsigned>(n_);
-  for (std::size_t p = 0; p < npairs_; ++p) {
-    const std::uint64_t* lut_pos =
-        prod_.data() + pair_dense_pos_[p] * lut_stride_;
-    const std::uint64_t* lut_neg =
-        prod_.data() + pair_dense_neg_[p] * lut_stride_;
-    const int dx = pair_dx_[p];
-    for (int iy = 0; iy < kImageSize; ++iy) {
-      const std::uint32_t* lev = s.levels + iy * kImageSize;
-      std::uint64_t* dst =
-          s.rows.data() +
-          (p * kRow + static_cast<std::size_t>(iy)) * block_words_;
-      for (std::size_t g = 0; g < half_words_; ++g) {
-        const int base = static_cast<int>(g * fields_);
-        std::uint64_t acc_pos = 0, acc_neg = 0;
-        for (std::size_t f = 0;
-             f < fields_ && base + static_cast<int>(f) < kRow; ++f) {
-          const int ix = base + static_cast<int>(f) + dx;
-          if (ix >= 0 && ix < kImageSize) {
-            const std::uint32_t l = lev[ix];
-            acc_pos |= lut_pos[l] << (f * shift);
-            acc_neg |= lut_neg[l] << (f * shift);
-          }
-        }
-        dst[g] = acc_pos;
-        dst[half_words_ + g] = acc_neg;
+  if (strip_) {
+    std::uint8_t levels[kImageSize * kImageSize];
+    for (int i = 0; i < n; ++i) {
+      const float* image = images + static_cast<std::size_t>(i) * in_stride;
+      for (std::size_t p = 0; p < in_stride; ++p) {
+        levels[p] = static_cast<std::uint8_t>(quantize_pixel(image[p], bits_));
       }
+      strip_->run(levels, out + static_cast<std::size_t>(i) * out_stride);
     }
+    return;
+  }
+  auto& s = dynamic_cast<ColumnScratch&>(scratch);
+  for (int i = 0; i < n; ++i) {
+    compute_columns(images + static_cast<std::size_t>(i) * in_stride,
+                    out + static_cast<std::size_t>(i) * out_stride, s);
   }
 }
 
-void FastStochasticFirstLayer::reduce_strip(const std::uint64_t* src[kSlots],
-                                            std::uint64_t* slots,
-                                            long* counts) const {
+void FastStochasticFirstLayer::reduce_columns(
+    const std::uint64_t* src[kSlots], std::uint64_t* slots,
+    long* counts) const {
   const std::uint64_t* zeros = zero_block_.data();
   std::size_t count = kSlots;
   std::size_t node = 0;
@@ -209,92 +170,39 @@ void FastStochasticFirstLayer::reduce_strip(const std::uint64_t* src[kSlots],
       }
       std::uint64_t* z = slots + (i / 2) * block_words_;
       if (style_ == Style::kProposed) {
-        const bool s0 = (node % 2) != 0;
-        if (packed_) {
-          sc::simd::tff_add_fields(a, b, z, block_words_,
-                                   static_cast<unsigned>(n_), s0, level_);
-        } else {
-          sc::simd::tff_add_columns(a, b, z, words_, kStripCols, s0, level_);
-        }
+        sc::simd::tff_add_columns(a, b, z, words_, kStripCols,
+                                  (node % 2) != 0, level_);
       } else {
-        if (packed_) {
-          sc::simd::mux_select_columns(selects_packed_.data() + node, a, b, z,
-                                       1, block_words_, level_);
-        } else {
-          sc::simd::mux_select_columns(selects_.data() + node * words_, a, b,
-                                       z, words_, kStripCols, level_);
-        }
+        sc::simd::mux_select_columns(selects_.data() + node * words_, a, b,
+                                     z, words_, kStripCols, level_);
       }
       src[i / 2] = z;
     }
     count /= 2;
   }
   // Root (node 30), fused with the output counters.
-  const std::uint64_t* a = src[0];
-  const std::uint64_t* b = src[1];
-  if (packed_) {
-    std::uint64_t* z = slots;  // root strip, then per-field extraction
-    if (style_ == Style::kProposed) {
-      sc::simd::tff_add_fields(a, b, z, block_words_,
-                               static_cast<unsigned>(n_), (node % 2) != 0,
-                               level_);
-    } else {
-      sc::simd::mux_select_columns(selects_packed_.data() + node, a, b, z, 1,
-                                   block_words_, level_);
-    }
-    const std::uint64_t mask = sc::low_mask(static_cast<unsigned>(n_));
-    for (int ox = 0; ox < kRow; ++ox) {
-      const std::size_t g = static_cast<std::size_t>(ox) / fields_;
-      const unsigned f = static_cast<unsigned>(ox) % fields_;
-      counts[ox] = std::popcount((z[g] >> (f * n_)) & mask);
-      counts[kRow + ox] =
-          std::popcount((z[half_words_ + g] >> (f * n_)) & mask);
-    }
+  if (style_ == Style::kProposed) {
+    sc::simd::tff_add_popcount_columns(src[0], src[1], words_, kStripCols,
+                                       (node % 2) != 0, counts, level_);
   } else {
-    if (style_ == Style::kProposed) {
-      sc::simd::tff_add_popcount_columns(a, b, words_, kStripCols,
-                                         (node % 2) != 0, counts, level_);
-    } else {
-      sc::simd::mux_select_popcount_columns(selects_.data() + node * words_,
-                                            a, b, words_, kStripCols, counts,
-                                            level_);
-    }
+    sc::simd::mux_select_popcount_columns(selects_.data() + node * words_,
+                                          src[0], src[1], words_, kStripCols,
+                                          counts, level_);
   }
 }
 
-void FastStochasticFirstLayer::compute_one(const float* image, float* out,
-                                           RowScratch& s) const {
-  const auto full = static_cast<double>(n_);
-  // Identical pixel quantization to the reference engine.
+void FastStochasticFirstLayer::compute_columns(const float* image, float* out,
+                                               ColumnScratch& s) const {
   for (int i = 0; i < kImageSize * kImageSize; ++i) {
-    const float v =
-        image[i] < 0.0f ? 0.0f : (image[i] > 1.0f ? 1.0f : image[i]);
-    s.levels[i] = static_cast<std::uint32_t>(
-        std::lround(static_cast<double>(v) * full));
+    s.levels[i] = quantize_pixel(image[i], bits_);
   }
-  if (packed_) build_row_cache(s);
-
-  const double count_to_value = 32.0 / full;
   const std::uint64_t* zeros = zero_block_.data();
   const std::uint64_t* src[kSlots];
 
-  // Leaf gathering: taps become pointers — into the row cache (packed
-  // mode) or freshly-filled column strips (long-stream mode); the 7 pad
+  // Leaf gathering: taps become freshly-filled column strips; the 7 pad
   // leaves and out-of-image rows point at the shared zero block.
-  const auto gather_packed = [&](const std::uint32_t* pairs, int oy) {
-    for (int t = 0; t < kFanIn; ++t) {
-      const int iy = oy + t / kKernelSize - kPad;
-      src[t] = (iy < 0 || iy >= kImageSize)
-                   ? zeros
-                   : s.rows.data() +
-                         (static_cast<std::size_t>(pairs[t]) * kRow +
-                          static_cast<std::size_t>(iy)) *
-                             block_words_;
-    }
-    for (int t = kFanIn; t < kSlots; ++t) src[t] = zeros;
-  };
-  const auto gather_columns = [&](const std::uint32_t* dpos,
-                                  const std::uint32_t* dneg, int oy) {
+  const auto gather = [&](const std::uint32_t* dpos, const std::uint32_t* dneg,
+                          int oy) {
     for (int t = 0; t < kFanIn; ++t) {
       const int iy = oy + t / kKernelSize - kPad;
       if (iy < 0 || iy >= kImageSize) {
@@ -332,19 +240,12 @@ void FastStochasticFirstLayer::compute_one(const float* image, float* out,
     const std::size_t koff = static_cast<std::size_t>(k) * kFanIn;
     float* feat = out + static_cast<std::size_t>(k) * kOutputsPerKernel;
     for (int oy = 0; oy < kImageSize; ++oy) {
-      if (packed_) {
-        gather_packed(tap_pair_.data() + koff, oy);
-      } else {
-        gather_columns(tap_dense_pos_.data() + koff,
-                       tap_dense_neg_.data() + koff, oy);
-      }
-      reduce_strip(src, s.slots.data(), s.counts);
+      gather(tap_dense_pos_.data() + koff, tap_dense_neg_.data() + koff, oy);
+      reduce_columns(src, s.slots.data(), s.counts);
       for (int ox = 0; ox < kRow; ++ox) {
-        const double v =
-            static_cast<double>(s.counts[ox] - s.counts[kRow + ox]) *
-            count_to_value;
+        const long diff = s.counts[ox] - s.counts[kRow + ox];
         feat[oy * kImageSize + ox] =
-            v > soft_threshold_ ? 1.0f : (v < -soft_threshold_ ? -1.0f : 0.0f);
+            diff >= cut_hi_ ? 1.0f : (diff <= cut_lo_ ? -1.0f : 0.0f);
       }
     }
   }

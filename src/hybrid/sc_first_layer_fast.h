@@ -2,49 +2,41 @@
 //
 // Bit-identical to StochasticFirstLayer (it is built from the same stream
 // tables — hybrid::detail builders in sc_first_layer.h — and evaluates the
-// same gate network in the same node order), but restructured around three
-// stacked optimizations:
+// same gate network in the same node order), but restructured around:
 //
 //  1. Product LUTs. The AND multiplier's output depends only on (input
 //     level, weight level), so the input level table is ANDed against every
-//     *distinct* weight level once at construction. The per-tap inner loop
-//     of the hot path becomes a table lookup; no AND gates are evaluated
-//     per frame at all.
+//     *distinct* weight level once at construction. No AND gates are
+//     evaluated per frame at all.
 //
-//  2. Batched multi-position evaluation. A whole output row (28 positions)
-//     of BOTH trees — the w_pos and w_neg dot products share node numbering,
-//     TFF initial states and select streams, so they ride in one fused
-//     [pos | neg] strip — is pushed through the adder tree per sweep, as a
-//     structure-of-arrays strip the vectorized kernels of sc/simd.h chew
-//     through:
-//       - for short streams (N = 2^bits <= 64, i.e. bits <= 6) the strip is
-//         *field-packed*: 64/N complete streams ride in each 64-bit word
-//         and the stateless field-parallel TFF kernel
-//         (sc::simd::tff_add_fields) evaluates them together, so at the
-//         paper's 4-bit operating point one ymm op advances 16 output
-//         positions through a tree node;
-//       - for long streams (bits 7..8) the strip is *column-batched*: the
-//         2x28 positions are word-major columns and the TFF carry chain
-//         runs per-lane (sc::simd::tff_add_columns).
-//     A per-image row cache makes the LUT lookups shared too: each distinct
-//     (pos level, neg level, horizontal tap offset) triple's packed product
-//     row is materialized once per input row and reused by every kernel and
-//     every vertical tap position that needs it (field-packed layout only,
-//     where the cache stays small).
+//  2. Whole output rows per sweep. A strip of 28 output positions of BOTH
+//     trees — the w_pos and w_neg dot products share node numbering, TFF
+//     initial states and select streams — goes through the adder tree
+//     together:
+//       - short streams (N = 2^bits <= 64, i.e. bits <= 6) run the
+//         register-resident strip kernel sc::simd::FieldConv: every stream
+//         owns one 16-, 32- or 64-bit lane, a leaf is a product-table
+//         lookup indexed by a row of quantized pixels (one VPERMW per half
+//         strip at the paper's 4-bit point), the TFF parity scan is
+//         lane-local, and the root counts are compared against integer
+//         cutoffs, all without a round trip through memory;
+//       - long streams (bits 7..8) are *column-batched*: the 2x28
+//         positions are word-major columns of a leaf strip filled from the
+//         LUTs, and the TFF carry chain runs per lane
+//         (sc::simd::tff_add_columns).
 //
 //  3. Zero-subtree elision. The 32-leaf tree has 7 structurally-zero pad
-//     leaves. The reduction walks leaf *pointers* (pads point at a shared
-//     zero block), skips the nodes whose inputs are both the zero block
-//     (their output is identically zero for TFF and MUX alike), and never
-//     materializes — let alone re-clears — a pad slot. Node numbering is
-//     unaffected, so TFF initial states and MUX select streams line up
-//     exactly with the reference engine.
+//     leaves; nodes whose inputs are both pads are never evaluated. Node
+//     numbering is unaffected, so TFF initial states and MUX select
+//     streams line up exactly with the reference engine.
 //
-// The root node is fused with the output counter where profitable
-// (tff_add_popcount_columns / mux_select_popcount_columns).
+// The soft threshold becomes a pair of integer cutoffs on the count
+// difference, derived at construction by evaluating the reference's own
+// double-precision comparison at every possible difference.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "hybrid/sc_first_layer.h"
@@ -74,9 +66,10 @@ class FastStochasticFirstLayer final : public FirstLayerEngine {
 
   /// Stream length N = 2^bits (cycles per dot product).
   [[nodiscard]] std::size_t stream_length() const noexcept { return n_; }
-  /// Output positions packed per 64-bit word (1 in column-batched mode).
-  [[nodiscard]] std::size_t positions_per_word() const noexcept {
-    return fields_;
+  /// True when the register-resident strip kernel runs this engine
+  /// (N <= 64); false for the column-batched long-stream layout.
+  [[nodiscard]] bool register_resident() const noexcept {
+    return strip_.has_value();
   }
 
  private:
@@ -84,54 +77,41 @@ class FastStochasticFirstLayer final : public FirstLayerEngine {
   static constexpr int kRow = kImageSize;  // strip width: one output row
   static constexpr int kStripCols = 2 * kRow;  // fused [pos | neg] strip
 
-  struct RowScratch final : Scratch {
-    RowScratch(std::size_t rows_words, std::size_t leaves_words,
-               std::size_t slots_words)
-        : rows(rows_words), leaves(leaves_words), slots(slots_words) {}
+  // Column-batched layout only: the strip kernel needs no workspace.
+  struct ColumnScratch final : Scratch {
+    ColumnScratch(std::size_t leaves_words, std::size_t slots_words)
+        : leaves(leaves_words), slots(slots_words) {}
     std::uint32_t levels[kImageSize * kImageSize];  // quantized pixels
-    std::vector<std::uint64_t> rows;    // per-image (pair, iy) product cache
-    std::vector<std::uint64_t> leaves;  // column-mode leaf strip (25 blocks)
+    std::vector<std::uint64_t> leaves;  // leaf strip (25 blocks)
     std::vector<std::uint64_t> slots;   // tree node strip (16 blocks)
     long counts[kStripCols];            // root popcounts: pos then neg
   };
 
-  void compute_one(const float* image, float* out, RowScratch& s) const;
-  void build_row_cache(RowScratch& s) const;
-  /// Reduce one 32-leaf strip; leaf blocks via `src`, popcounts in counts.
-  void reduce_strip(const std::uint64_t* src[kSlots], std::uint64_t* slots,
-                    long* counts) const;
+  void compute_columns(const float* image, float* out,
+                       ColumnScratch& s) const;
+  /// Reduce one 32-leaf column strip; leaf blocks via `src`.
+  void reduce_columns(const std::uint64_t* src[kSlots], std::uint64_t* slots,
+                      long* counts) const;
 
   Style style_;
   unsigned bits_;
-  std::size_t n_;        // stream length
-  std::size_t words_;    // 64-bit words per stream
-  std::size_t fields_;   // streams packed per word (64/n_), 1 in column mode
-  bool packed_;          // field-packed (bits <= 6) vs column-batched layout
-  std::size_t half_words_;   // words per 28-position half strip
-  std::size_t block_words_;  // words per fused strip block (2 * half_words_)
+  std::size_t n_;      // stream length
+  std::size_t words_;  // 64-bit words per stream
+  std::size_t block_words_;  // words per fused column strip block
   int kernels_;
-  double soft_threshold_;
-  sc::simd::Level level_;  // SIMD dispatch level, resolved once
+  int cut_hi_, cut_lo_;      // integer form of the soft threshold
+  sc::simd::Level level_;    // SIMD dispatch level, resolved once
 
-  // Product LUT: prod_[d * lut_stride_ + xlev * words_ + w] is word w of
-  // (input stream for level xlev) & (weight stream for distinct level d).
-  std::size_t lut_stride_;
+  // Short streams: the whole frame runs in the strip kernel.
+  std::optional<sc::simd::FieldConv> strip_;
+
+  // Long streams. Product LUT: prod_[d * lut_stride_ + xlev * words_ + w]
+  // is word w of (input stream for level xlev) & (weight stream for
+  // distinct level d); per (kernel, tap) the d of each sign.
+  std::size_t lut_stride_ = 0;
   std::vector<std::uint64_t> prod_;
-
-  // Per (kernel, tap): dense weight-level index of each sign (column-mode
-  // leaf fill) and, in packed mode, the row-cache pair the tap reads.
   std::vector<std::uint32_t> tap_dense_pos_, tap_dense_neg_;
-  std::vector<std::uint32_t> tap_pair_;
-  // Packed-mode pair table: (pos dense level, neg dense level, ix - ox).
-  std::vector<std::uint32_t> pair_dense_pos_, pair_dense_neg_;
-  std::vector<int> pair_dx_;
-  std::size_t npairs_ = 0;
-
-  // MUX select streams (conventional): scalar layout (node * words_) and,
-  // in packed mode, one field-replicated word per node.
-  std::vector<std::uint64_t> selects_;
-  std::vector<std::uint64_t> selects_packed_;
-
+  std::vector<std::uint64_t> selects_;     // MUX select streams (node-major)
   std::vector<std::uint64_t> zero_block_;  // shared all-zero strip block
 };
 

@@ -69,11 +69,16 @@ void maxpool2_scalar(const float* x, int planes, int h, int w, float* y) {
   }
 }
 
+// The GEMM kernels have no AVX-512 form: that level runs the AVX2 ones.
+bool use_avx2(Level level) {
+  return level == Level::kAvx2 || level == Level::kAvx512;
+}
+
 }  // namespace
 
 void gemm_rowbias_act(const float* a, const float* b, const float* row_bias,
                       float* c, int m, int k, int n, bool relu, Level level) {
-  if (level == Level::kAvx2) {
+  if (use_avx2(level)) {
     detail::gemm_rowbias_act_avx2(a, b, row_bias, c, m, k, n, relu);
     return;
   }
@@ -82,7 +87,7 @@ void gemm_rowbias_act(const float* a, const float* b, const float* row_bias,
 
 void gemm_colbias_act(const float* a, const float* b, const float* col_bias,
                       float* c, int m, int k, int n, bool relu, Level level) {
-  if (level == Level::kAvx2) {
+  if (use_avx2(level)) {
     detail::gemm_colbias_act_avx2(a, b, col_bias, c, m, k, n, relu);
     return;
   }
@@ -91,7 +96,7 @@ void gemm_colbias_act(const float* a, const float* b, const float* col_bias,
 
 void maxpool2(const float* x, int planes, int h, int w, float* y,
               Level level) {
-  if (level == Level::kAvx2) {
+  if (use_avx2(level)) {
     detail::maxpool2_avx2(x, planes, h, w, y);
     return;
   }

@@ -3,9 +3,9 @@
 // These are the float counterparts of the bit-packed SC kernels in
 // sc/simd.h and ride the same dispatch machinery (sc::simd::Level,
 // active_level(), the SCBNN_SIMD override): implementations exist for
-// portable scalar (always) and AVX2 (runtime cpuid dispatch); other levels
-// fall back to the scalar path, which gcc auto-vectorizes to the baseline
-// ISA anyway.
+// portable scalar (always) and AVX2 (runtime cpuid dispatch, also used at
+// the AVX-512 level); NEON falls back to the scalar path, which gcc
+// auto-vectorizes to the baseline ISA anyway.
 //
 // The bit-identity contract every kernel obeys: vectorization runs ONLY
 // across independent output elements (columns j of C, pooled positions),

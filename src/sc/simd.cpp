@@ -1,11 +1,15 @@
 #include "sc/simd.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <type_traits>
 
 #include "sc/packed.h"
+#include "sc/simd_strip.h"
 #include "sc/tff.h"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -44,29 +48,6 @@ void mux_select_columns_scalar(const std::uint64_t* sel,
     for (std::size_t c = 0; c < ncols; ++c) {
       zw[c] = (s & yw[c]) | (~s & xw[c]);
     }
-  }
-}
-
-void tff_add_fields_scalar(const std::uint64_t* x, const std::uint64_t* y,
-                           std::uint64_t* z, std::size_t n, unsigned width,
-                           bool s0) {
-  const std::uint64_t top = detail::field_top_mask(width);
-  const std::uint64_t init = s0 ? 0 : ~std::uint64_t{0};
-  // Shifts by `width` are split in two so width == 64 stays defined.
-  const unsigned w1 = width - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t m = x[i] ^ y[i];
-    const std::uint64_t p = prefix_xor(m);
-    // t: bit f*width holds e_f, the cumulative parity through field f.
-    const std::uint64_t t = (p & top) >> w1;
-    // v: e_f moved to the start of field f+1; M: e_f replicated across it.
-    // v * (2^width - 1) == (v << width) - v, and the per-bit contributions
-    // (one width-wide run per set bit, runs >= width apart) never borrow
-    // into each other, so the subtraction is exact even when the top run
-    // wraps out of the word.
-    const std::uint64_t v = (t << w1) << 1;
-    const std::uint64_t corr = ((v << w1) << 1) - v;
-    z[i] = (x[i] & y[i]) | (m & (p ^ corr ^ init));
   }
 }
 
@@ -186,30 +167,6 @@ void mux_select_columns_neon(const std::uint64_t* sel, const std::uint64_t* x,
   }
 }
 
-void tff_add_fields_neon(const std::uint64_t* x, const std::uint64_t* y,
-                         std::uint64_t* z, std::size_t n, unsigned width,
-                         bool s0) {
-  const uint64x2_t top = vdupq_n_u64(detail::field_top_mask(width));
-  const uint64x2_t init = vdupq_n_u64(s0 ? 0 : ~std::uint64_t{0});
-  // USHL by register: negative = right shift, counts >= 64 yield 0, so the
-  // width == 64 degenerate case (no correction needed) falls out for free.
-  const int64x2_t shr_w1 = vdupq_n_s64(-static_cast<std::int64_t>(width - 1));
-  const int64x2_t shl_w = vdupq_n_s64(static_cast<std::int64_t>(width));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t xv = vld1q_u64(x + i);
-    const uint64x2_t yv = vld1q_u64(y + i);
-    const uint64x2_t m = veorq_u64(xv, yv);
-    const uint64x2_t p = prefix_xor_u64x2(m);
-    const uint64x2_t t = vshlq_u64(vandq_u64(p, top), shr_w1);
-    const uint64x2_t v = vshlq_u64(t, shl_w);
-    const uint64x2_t corr = vsubq_u64(vshlq_u64(v, shl_w), v);
-    const uint64x2_t sel = veorq_u64(veorq_u64(p, corr), init);
-    vst1q_u64(z + i, vorrq_u64(vandq_u64(xv, yv), vandq_u64(m, sel)));
-  }
-  if (i < n) tff_add_fields_scalar(x + i, y + i, z + i, n - i, width, s0);
-}
-
 void popcount_columns_neon(const std::uint64_t* x, std::size_t nwords,
                            std::size_t ncols, long* counts) {
   std::size_t c = 0;
@@ -297,39 +254,134 @@ void mux_select_popcount_columns_neon(const std::uint64_t* sel,
 
 #endif  // SCBNN_SIMD_NEON
 
+// ------------------------------------------------- strip kernel (scalar)
+
+// Lane policy for simd_strip.h: SWAR over 64-bit words, kLane-bit lanes
+// (64 / kLane streams per word, the narrowest lane a stream fits), one
+// group per strip half. Lanes up to 16 bits read the 16-bit tables.
+template <unsigned kLane>
+struct ScalarLanes {
+  using Lane = std::conditional_t<
+      kLane <= 16, std::uint16_t,
+      std::conditional_t<kLane == 32, std::uint32_t, std::uint64_t>>;
+  static constexpr int kPerWord = 64 / kLane;
+  static constexpr int kWords = (detail::kImg + kPerWord - 1) / kPerWord;
+  // One bit per lane, at the lane's bit 0.
+  static constexpr std::uint64_t kRep =
+      kLane == 64 ? 1 : ~std::uint64_t{0} / ((std::uint64_t{1} << kLane) - 1);
+  static constexpr std::uint64_t kLaneMask = low_mask(kLane);
+
+  struct Reg {
+    std::uint64_t w[kWords];
+  };
+  using Index = std::uint8_t;
+  static constexpr int kGroups = 2;  // pos half, neg half
+  static constexpr int kMaps = 1;
+
+  static const Lane* table(const detail::FieldTables& t, std::uint32_t d) {
+    const std::size_t off = std::size_t{d} * t.table_size;
+    if constexpr (kLane <= 16) {
+      return t.t16.data() + off;
+    } else if constexpr (kLane == 32) {
+      return t.t32.data() + off;
+    } else {
+      return t.t64.data() + off;
+    }
+  }
+
+  static void build_map(const detail::FieldTables& t,
+                        const std::uint8_t* levels, Index* map) {
+    detail::fill_map(levels, map, static_cast<Index>(t.table_size - 1),
+                     [](std::uint8_t l) { return l; });
+  }
+
+  static Reg leaf(const detail::FieldTables& t, int g, std::uint32_t dpos,
+                  std::uint32_t dneg, const Index* at) {
+    const Lane* tab = table(t, g == 0 ? dpos : dneg);
+    Reg r;
+    for (int w = 0; w < kWords; ++w) {
+      std::uint64_t v = 0;
+      for (int j = 0; j < kPerWord; ++j) {
+        v |= std::uint64_t{tab[at[w * kPerWord + j]]} << (j * kLane);
+      }
+      r.w[w] = v;
+    }
+    return r;
+  }
+
+  static Reg zero() { return Reg{}; }
+
+  // Lane-local inclusive parity scan: the shifted copy is masked so no bit
+  // crosses into the next lane.
+  static std::uint64_t scan(std::uint64_t m) {
+    for (unsigned s = 1; s < kLane; s <<= 1) {
+      m ^= (m << s) & ~(((std::uint64_t{1} << s) - 1) * kRep);
+    }
+    return m;
+  }
+
+  template <bool kS0>
+  static Reg tff(const Reg& x, const Reg& y) {
+    Reg z;
+    for (int w = 0; w < kWords; ++w) {
+      const std::uint64_t m = x.w[w] ^ y.w[w];
+      const std::uint64_t p = scan(m);
+      z.w[w] = (x.w[w] & y.w[w]) | (m & (kS0 ? p : ~p));
+    }
+    return z;
+  }
+
+  static Reg mux(const Reg& x, const Reg& y, std::uint64_t sel) {
+    const std::uint64_t s = sel * kRep;
+    Reg z;
+    for (int w = 0; w < kWords; ++w) z.w[w] = (s & y.w[w]) | (~s & x.w[w]);
+    return z;
+  }
+
+  static void emit(const detail::FieldTables& t, const Reg* roots,
+                   float* out) {
+    int counts[2][detail::kImg];
+    for (int h = 0; h < 2; ++h) {
+      for (int ox = 0; ox < detail::kImg; ++ox) {
+        const std::uint64_t word = roots[h].w[ox / kPerWord];
+        counts[h][ox] = std::popcount(
+            (word >> ((ox % kPerWord) * kLane)) & kLaneMask);
+      }
+    }
+    detail::emit_counts(t, counts[0], counts[1], out);
+  }
+};
+
 // ------------------------------------------------------------- dispatch
+
+#if !defined(SCBNN_SIMD_NEON)
+bool avx2_runnable() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return detail::avx2_compiled() && __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+bool avx512_runnable() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return avx2_runnable() && detail::avx512_compiled() &&
+         __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw");
+#else
+  return false;
+#endif
+}
+#endif  // !SCBNN_SIMD_NEON
 
 Level detect_level() {
 #if defined(SCBNN_SIMD_NEON)
   return Level::kNeon;
-#elif defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  if (detail::avx2_compiled() && __builtin_cpu_supports("avx2")) {
-    return Level::kAvx2;
-  }
-  return Level::kScalar;
 #else
+  if (avx512_runnable()) return Level::kAvx512;
+  if (avx2_runnable()) return Level::kAvx2;
   return Level::kScalar;
 #endif
-}
-
-Level resolve_level() {
-  const Level best = detect_level();
-  const char* env = std::getenv("SCBNN_SIMD");
-  if (env == nullptr || std::strcmp(env, "") == 0 ||
-      std::strcmp(env, "auto") == 0) {
-    return best;
-  }
-  if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(env, "avx2") == 0 && best == Level::kAvx2) {
-    return Level::kAvx2;
-  }
-  if (std::strcmp(env, "neon") == 0 && best == Level::kNeon) {
-    return Level::kNeon;
-  }
-  std::fprintf(stderr,
-               "warning: SCBNN_SIMD=%s unavailable on this host; using %s\n",
-               env, to_string(best));
-  return best;
 }
 
 }  // namespace
@@ -339,28 +391,127 @@ const char* to_string(Level level) noexcept {
     case Level::kScalar: return "scalar";
     case Level::kAvx2: return "avx2";
     case Level::kNeon: return "neon";
+    case Level::kAvx512: return "avx512";
   }
   return "?";
 }
 
+Level resolve_level(const char* request) {
+  const Level best = detect_level();
+  if (request == nullptr || std::strcmp(request, "") == 0 ||
+      std::strcmp(request, "auto") == 0) {
+    return best;
+  }
+  for (const Level level : available_levels()) {
+    if (std::strcmp(request, to_string(level)) == 0) return level;
+  }
+  std::fprintf(stderr,
+               "warning: SCBNN_SIMD=%s unavailable on this host; using %s\n",
+               request, to_string(best));
+  return best;
+}
+
 Level active_level() {
-  static const Level level = resolve_level();
+  static const Level level = resolve_level(std::getenv("SCBNN_SIMD"));
   return level;
 }
 
 std::vector<Level> available_levels() {
   std::vector<Level> levels{Level::kScalar};
   const Level best = detect_level();
+  if (best == Level::kAvx512) levels.push_back(Level::kAvx2);
   if (best != Level::kScalar) levels.push_back(best);
   return levels;
 }
 
-void and_words(const std::uint64_t* x, const std::uint64_t* y,
-               std::uint64_t* z, std::size_t n, Level level) {
-  switch (level) {
-    case Level::kAvx2: detail::and_words_avx2(x, y, z, n); return;
+FieldConv::FieldConv(FieldConvSpec spec, Level level) : level_(level) {
+  if (spec.bits < 1 || spec.bits > 6) {
+    throw std::invalid_argument("FieldConv: bits must be in [1, 6]");
+  }
+  const unsigned n = 1u << spec.bits;
+  const std::size_t taps = static_cast<std::size_t>(spec.kernels) *
+                           static_cast<std::size_t>(detail::kTaps);
+  if (spec.kernels < 0 || spec.tap_pos.size() != taps ||
+      spec.tap_neg.size() != taps || spec.products.size() % (n + 1) != 0 ||
+      (spec.mux && spec.selects.size() != 31)) {
+    throw std::invalid_argument("FieldConv: inconsistent spec");
+  }
+  const std::size_t dense = spec.products.size() / (n + 1);
+  for (std::size_t i = 0; i < taps; ++i) {
+    if (spec.tap_pos[i] >= dense || spec.tap_neg[i] >= dense) {
+      throw std::invalid_argument("FieldConv: tap level out of range");
+    }
+  }
+  detail::FieldTables& t = tables_;
+  t.bits = spec.bits;
+  t.lane_bits = spec.bits <= 4 ? 16 : (spec.bits == 5 ? 32 : 64);
+  t.mux = spec.mux;
+  t.kernels = spec.kernels;
+  // Differences lie in [-N, N], so clamping the cutoffs to [-N-1, N+1]
+  // keeps every comparison and lets the vector kernels compare in 16 bits.
+  const int reach = static_cast<int>(n) + 1;
+  t.cut_hi = std::clamp(spec.cut_hi, -reach, reach);
+  t.cut_lo = std::clamp(spec.cut_lo, -reach, reach);
+  t.table_size = t.lane_bits == 16 ? 32 : std::bit_ceil(n + 2);
+  t.tap_pos = std::move(spec.tap_pos);
+  t.tap_neg = std::move(spec.tap_neg);
+  t.selects = std::move(spec.selects);
+  const std::size_t entries = dense * t.table_size;
+  std::vector<std::uint64_t> wide(entries, 0);
+  for (std::size_t d = 0; d < dense; ++d) {
+    for (unsigned l = 0; l <= n; ++l) {
+      wide[d * t.table_size + l] = spec.products[d * (n + 1) + l];
+    }
+  }
+  if (t.lane_bits == 16) {
+    t.t16.assign(wide.begin(), wide.end());
+    t.t16_bytes.resize(dense * 32);
+    for (std::size_t d = 0; d < dense; ++d) {
+      for (std::size_t l = 0; l < 16; ++l) {
+        const std::uint16_t v = t.t16[d * t.table_size + l];
+        t.t16_bytes[d * 32 + l] = static_cast<std::uint8_t>(v & 0xFF);
+        t.t16_bytes[d * 32 + 16 + l] = static_cast<std::uint8_t>(v >> 8);
+      }
+    }
+  } else if (t.lane_bits == 32) {
+    t.t32.assign(wide.begin(), wide.end());
+  } else {
+    t.t64 = std::move(wide);
+  }
+}
+
+void FieldConv::run(const std::uint8_t* levels, float* out) const {
+  switch (level_) {
+    case Level::kAvx512: detail::field_conv_avx512(tables_, levels, out); return;
+    case Level::kAvx2: detail::field_conv_avx2(tables_, levels, out); return;
     case Level::kNeon:
     case Level::kScalar: break;
+  }
+  detail::field_conv_scalar(tables_, levels, out);
+}
+
+namespace detail {
+
+void field_conv_scalar(const FieldTables& t, const std::uint8_t* levels,
+                       float* out) {
+  switch (t.bits) {
+    case 1: conv<ScalarLanes<2>>(t, levels, out); return;
+    case 2: conv<ScalarLanes<4>>(t, levels, out); return;
+    case 3: conv<ScalarLanes<8>>(t, levels, out); return;
+    case 4: conv<ScalarLanes<16>>(t, levels, out); return;
+    case 5: conv<ScalarLanes<32>>(t, levels, out); return;
+    default: conv<ScalarLanes<64>>(t, levels, out); return;
+  }
+}
+
+}  // namespace detail
+
+void and_words(const std::uint64_t* x, const std::uint64_t* y,
+               std::uint64_t* z, std::size_t n, Level level) {
+  // Column kernels have no AVX-512 form: that level runs their AVX2 form.
+  if (level == Level::kAvx2 || level == Level::kAvx512) {
+    detail::and_words_avx2(x, y, z, n);
+    return;
   }
   and_words_scalar(x, y, z, n);
 }
@@ -370,6 +521,7 @@ void tff_add_columns(const std::uint64_t* x, const std::uint64_t* y,
                      bool s0, Level level) {
   switch (level) {
     case Level::kAvx2:
+    case Level::kAvx512:
       detail::tff_add_columns_avx2(x, y, z, nwords, ncols, s0);
       return;
 #if defined(SCBNN_SIMD_NEON)
@@ -387,6 +539,7 @@ void mux_select_columns(const std::uint64_t* sel, const std::uint64_t* x,
                         std::size_t nwords, std::size_t ncols, Level level) {
   switch (level) {
     case Level::kAvx2:
+    case Level::kAvx512:
       detail::mux_select_columns_avx2(sel, x, y, z, nwords, ncols);
       return;
 #if defined(SCBNN_SIMD_NEON)
@@ -399,27 +552,11 @@ void mux_select_columns(const std::uint64_t* sel, const std::uint64_t* x,
   mux_select_columns_scalar(sel, x, y, z, nwords, ncols);
 }
 
-void tff_add_fields(const std::uint64_t* x, const std::uint64_t* y,
-                    std::uint64_t* z, std::size_t n, unsigned width, bool s0,
-                    Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      detail::tff_add_fields_avx2(x, y, z, n, width, s0);
-      return;
-#if defined(SCBNN_SIMD_NEON)
-    case Level::kNeon:
-      tff_add_fields_neon(x, y, z, n, width, s0);
-      return;
-#endif
-    default: break;
-  }
-  tff_add_fields_scalar(x, y, z, n, width, s0);
-}
-
 void popcount_columns(const std::uint64_t* x, std::size_t nwords,
                       std::size_t ncols, long* counts, Level level) {
   switch (level) {
     case Level::kAvx2:
+    case Level::kAvx512:
       detail::popcount_columns_avx2(x, nwords, ncols, counts);
       return;
 #if defined(SCBNN_SIMD_NEON)
@@ -437,6 +574,7 @@ void tff_add_popcount_columns(const std::uint64_t* x, const std::uint64_t* y,
                               long* counts, Level level) {
   switch (level) {
     case Level::kAvx2:
+    case Level::kAvx512:
       detail::tff_add_popcount_columns_avx2(x, y, nwords, ncols, s0, counts);
       return;
 #if defined(SCBNN_SIMD_NEON)
@@ -456,6 +594,7 @@ void mux_select_popcount_columns(const std::uint64_t* sel,
                                  Level level) {
   switch (level) {
     case Level::kAvx2:
+    case Level::kAvx512:
       detail::mux_select_popcount_columns_avx2(sel, x, y, nwords, ncols,
                                                counts);
       return;

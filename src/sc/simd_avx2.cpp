@@ -1,13 +1,15 @@
-// AVX2 implementations of the column-batched SC kernels (sc/simd.h).
+// AVX2 implementations of the SC kernels (sc/simd.h).
 //
 // This translation unit is compiled with -mavx2 when the toolchain supports
 // it (see CMakeLists.txt); the rest of the library stays at the baseline
-// ISA and dispatches here only after a runtime cpuid check. Four 64-bit
-// streams ride in one ymm register: the TFF parity scan runs as lane-local
-// shift/xor chains (each lane is an independent stream), the per-stream
-// carry (TFF state) lives in a lane mask updated from the scan's top bit,
-// and popcounts use the nibble-shuffle + psadbw reduction (Harley-Seal's
-// byte-counting core, folded to per-lane sums each word).
+// ISA and dispatches here only after a runtime cpuid check. Column kernels:
+// four 64-bit streams ride in one ymm register, the TFF parity scan runs
+// as lane-local shift/xor chains (each lane is an independent stream), the
+// per-stream carry (TFF state) lives in a lane mask updated from the
+// scan's top bit, and popcounts use the nibble-shuffle + psadbw reduction
+// (Harley-Seal's byte-counting core, folded to per-lane sums each word).
+// The strip kernel (FieldConv) uses the same pieces on 16-, 32- or 64-bit
+// lanes, one short stream per lane.
 #include "sc/simd.h"
 
 #if defined(__AVX2__)
@@ -17,6 +19,7 @@
 #include <bit>
 
 #include "sc/packed.h"
+#include "sc/simd_strip.h"
 #include "sc/tff.h"
 
 namespace scbnn::sc::simd::detail {
@@ -40,8 +43,8 @@ inline __m256i sign_mask_x4(__m256i v) {
   return _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
 }
 
-// popcount per 64-bit lane: nibble lookup (PSHUFB) then byte-sum (PSADBW).
-inline __m256i popcount_x4(__m256i v) {
+// popcount per byte: nibble lookup (PSHUFB).
+inline __m256i popcount_bytes(__m256i v) {
   const __m256i nibble_counts = _mm256_setr_epi8(
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
@@ -49,11 +52,203 @@ inline __m256i popcount_x4(__m256i v) {
   const __m256i lo = _mm256_and_si256(v, low_nibbles);
   const __m256i hi =
       _mm256_and_si256(_mm256_srli_epi64(v, 4), low_nibbles);
-  const __m256i bytes =
-      _mm256_add_epi8(_mm256_shuffle_epi8(nibble_counts, lo),
-                      _mm256_shuffle_epi8(nibble_counts, hi));
-  return _mm256_sad_epu8(bytes, _mm256_setzero_si256());
+  return _mm256_add_epi8(_mm256_shuffle_epi8(nibble_counts, lo),
+                         _mm256_shuffle_epi8(nibble_counts, hi));
 }
+
+// popcount per 64-bit lane: byte counts summed by PSADBW.
+inline __m256i popcount_x4(__m256i v) {
+  return _mm256_sad_epu8(popcount_bytes(v), _mm256_setzero_si256());
+}
+
+// popcount per 16-bit lane: adjacent byte counts summed by PMADDUBSW.
+inline __m256i popcount_x16(__m256i v) {
+  return _mm256_maddubs_epi16(popcount_bytes(v), _mm256_set1_epi8(1));
+}
+
+// Lane-local inclusive parity scan over kLane-bit lanes: shifts within a
+// lane never carry into the next one.
+template <unsigned kLane>
+inline __m256i lane_scan(__m256i m) {
+  if constexpr (kLane == 16) {
+    m = _mm256_xor_si256(m, _mm256_slli_epi16(m, 1));
+    m = _mm256_xor_si256(m, _mm256_slli_epi16(m, 2));
+    m = _mm256_xor_si256(m, _mm256_slli_epi16(m, 4));
+    return _mm256_xor_si256(m, _mm256_slli_epi16(m, 8));
+  } else if constexpr (kLane == 32) {
+    m = _mm256_xor_si256(m, _mm256_slli_epi32(m, 1));
+    m = _mm256_xor_si256(m, _mm256_slli_epi32(m, 2));
+    m = _mm256_xor_si256(m, _mm256_slli_epi32(m, 4));
+    m = _mm256_xor_si256(m, _mm256_slli_epi32(m, 8));
+    return _mm256_xor_si256(m, _mm256_slli_epi32(m, 16));
+  } else {
+    return prefix_xor_x4(m);
+  }
+}
+
+// TFF node on independent kLane-bit streams: z = maj(x, y, s0 ? p : ~p)
+// with p the lane-local prefix parity of x ^ y.
+template <unsigned kLane, bool kS0>
+inline __m256i tff_lanes(__m256i x, __m256i y) {
+  const __m256i m = _mm256_xor_si256(x, y);
+  const __m256i p = lane_scan<kLane>(m);
+  const __m256i sel = kS0 ? _mm256_and_si256(m, p) : _mm256_andnot_si256(p, m);
+  return _mm256_or_si256(_mm256_and_si256(x, y), sel);
+}
+
+inline __m256i mux_lanes(__m256i s, __m256i x, __m256i y) {
+  return _mm256_or_si256(_mm256_and_si256(s, y), _mm256_andnot_si256(s, x));
+}
+
+// Strip lane policy (sc/simd_strip.h) for bits <= 4: 16-bit lanes, a half
+// strip in two ymm. Leaves are two PSHUFB lookups (low and high bytes of
+// the 16-bit product stream) from two pixel maps whose other byte is 0x80,
+// so each lookup zeroes the byte it does not own; level 16, which the
+// 16-entry PSHUFB tables cannot hold, is blended in by compare.
+struct U16Lanes {
+  struct Reg {
+    __m256i a, b;  // lanes 0..15, 16..31 of one half
+  };
+  using Index = std::uint16_t;
+  static constexpr int kGroups = 2;  // pos half, neg half
+  static constexpr int kMaps = 2;
+  static constexpr Index kZero = 0x8080;
+  static constexpr Index kLevel16 = 0x8010;
+
+  static void build_map(const FieldTables&, const std::uint8_t* levels,
+                        Index* map) {
+    fill_map(levels, map, kZero, [](std::uint8_t l) {
+      return static_cast<Index>(0x8000 | l);
+    });
+    fill_map(levels, map + kMapSize, kZero, [](std::uint8_t l) {
+      return static_cast<Index>(0x0080 | (l << 8));
+    });
+  }
+
+  static Reg leaf(const FieldTables& t, int g, std::uint32_t dpos,
+                  std::uint32_t dneg, const Index* at) {
+    const std::uint32_t d = g == 0 ? dpos : dneg;
+    const std::uint8_t* bytes = t.t16_bytes.data() + std::size_t{d} * 32;
+    const __m256i lo_tab = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes)));
+    const __m256i hi_tab = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 16)));
+    const __m256i top = _mm256_set1_epi16(
+        static_cast<short>(t.t16[std::size_t{d} * t.table_size + 16]));
+    const __m256i level16 = _mm256_set1_epi16(static_cast<short>(kLevel16));
+    const auto lookup = [&](const Index* p) {
+      const __m256i ia = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+      const __m256i ib =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + kMapSize));
+      const __m256i v = _mm256_or_si256(_mm256_shuffle_epi8(lo_tab, ia),
+                                        _mm256_shuffle_epi8(hi_tab, ib));
+      return _mm256_blendv_epi8(v, top, _mm256_cmpeq_epi16(ia, level16));
+    };
+    return {lookup(at), lookup(at + 16)};
+  }
+
+  static Reg zero() { return {_mm256_setzero_si256(), _mm256_setzero_si256()}; }
+
+  template <bool kS0>
+  static Reg tff(const Reg& x, const Reg& y) {
+    return {tff_lanes<16, kS0>(x.a, y.a), tff_lanes<16, kS0>(x.b, y.b)};
+  }
+
+  static Reg mux(const Reg& x, const Reg& y, std::uint64_t sel) {
+    const __m256i s = _mm256_set1_epi16(static_cast<short>(sel));
+    return {mux_lanes(s, x.a, y.a), mux_lanes(s, x.b, y.b)};
+  }
+
+  static void emit(const FieldTables& t, const Reg* roots, float* out) {
+    const __m256i hi_cut = _mm256_set1_epi16(static_cast<short>(t.cut_hi - 1));
+    const __m256i lo_cut = _mm256_set1_epi16(static_cast<short>(t.cut_lo + 1));
+    const __m256i one = _mm256_set1_epi16(1);
+    // -1 where diff <= cut_lo, overridden by +1 where diff >= cut_hi.
+    const auto ternary = [&](__m256i pos, __m256i neg) {
+      const __m256i diff =
+          _mm256_sub_epi16(popcount_x16(pos), popcount_x16(neg));
+      return _mm256_blendv_epi8(_mm256_cmpgt_epi16(lo_cut, diff), one,
+                                _mm256_cmpgt_epi16(diff, hi_cut));
+    };
+    const auto to_ps = [](__m128i v) {
+      return _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(v));
+    };
+    const __m256i a = ternary(roots[0].a, roots[1].a);
+    const __m256i b = ternary(roots[0].b, roots[1].b);
+    _mm256_storeu_ps(out, to_ps(_mm256_castsi256_si128(a)));
+    _mm256_storeu_ps(out + 8, to_ps(_mm256_extracti128_si256(a, 1)));
+    _mm256_storeu_ps(out + 16, to_ps(_mm256_castsi256_si128(b)));
+    _mm_storeu_ps(out + 24, _mm256_castps256_ps128(
+                                to_ps(_mm256_extracti128_si256(b, 1))));
+  }
+};
+
+// Strip lane policy for bits 5 and 6: 32- or 64-bit lanes, one ymm per
+// group, leaves gathered from the product table.
+template <unsigned kLane>
+struct WideLanes {
+  static constexpr int kLanes = 256 / kLane;
+  static constexpr int kPerHalf = kHalf / kLanes;
+  using Reg = __m256i;
+  using Index = std::int32_t;
+  static constexpr int kGroups = 2 * kPerHalf;
+  static constexpr int kMaps = 1;
+
+  static void build_map(const FieldTables& t, const std::uint8_t* levels,
+                        Index* map) {
+    fill_map(levels, map, static_cast<Index>(t.table_size - 1),
+             [](std::uint8_t l) { return static_cast<Index>(l); });
+  }
+
+  static Reg leaf(const FieldTables& t, int g, std::uint32_t dpos,
+                  std::uint32_t dneg, const Index* at) {
+    const std::size_t off =
+        std::size_t{g < kPerHalf ? dpos : dneg} * t.table_size;
+    const Index* idx = at + (g % kPerHalf) * kLanes;
+    if constexpr (kLane == 32) {
+      return _mm256_i32gather_epi32(
+          reinterpret_cast<const int*>(t.t32.data() + off),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), 4);
+    } else {
+      return _mm256_i32gather_epi64(
+          reinterpret_cast<const long long*>(t.t64.data() + off),
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8);
+    }
+  }
+
+  static Reg zero() { return _mm256_setzero_si256(); }
+
+  template <bool kS0>
+  static Reg tff(Reg x, Reg y) {
+    return tff_lanes<kLane, kS0>(x, y);
+  }
+
+  static Reg mux(Reg x, Reg y, std::uint64_t sel) {
+    const __m256i s = kLane == 32
+                          ? _mm256_set1_epi32(static_cast<int>(sel))
+                          : _mm256_set1_epi64x(static_cast<long long>(sel));
+    return mux_lanes(s, x, y);
+  }
+
+  static void emit(const FieldTables& t, const Reg* roots, float* out) {
+    alignas(32) int counts[2][kHalf];
+    for (int g = 0; g < kGroups; ++g) {
+      int* dst = counts[g / kPerHalf] + (g % kPerHalf) * kLanes;
+      if constexpr (kLane == 32) {
+        const __m256i c = _mm256_madd_epi16(popcount_x16(roots[g]),
+                                            _mm256_set1_epi16(1));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), c);
+      } else {
+        // Counts sit in the low dword of each qword: compact them.
+        const __m256i c = _mm256_permutevar8x32_epi32(
+            popcount_x4(roots[g]), _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                         _mm256_castsi256_si128(c));
+      }
+    }
+    emit_counts(t, counts[0], counts[1], out);
+  }
+};
 
 }  // namespace
 
@@ -124,45 +319,6 @@ void mux_select_columns_avx2(const std::uint64_t* sel, const std::uint64_t* x,
     for (; c < ncols; ++c) {
       zw[c] = (sel[w] & yw[c]) | (~sel[w] & xw[c]);
     }
-  }
-}
-
-void tff_add_fields_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                         std::uint64_t* z, std::size_t n, unsigned width,
-                         bool s0) {
-  const std::uint64_t top_scalar = detail::field_top_mask(width);
-  const __m256i top = _mm256_set1_epi64x(static_cast<long long>(top_scalar));
-  const __m256i init =
-      s0 ? _mm256_setzero_si256() : _mm256_set1_epi64x(-1);
-  // Runtime shift counts; VPSRLQ/VPSLLQ by register zero the result for
-  // counts >= 64, so the width == 64 case (no correction) needs no branch.
-  const __m128i shr_w1 = _mm_cvtsi32_si128(static_cast<int>(width - 1));
-  const __m128i shl_w = _mm_cvtsi32_si128(static_cast<int>(width));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i xv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i yv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    const __m256i m = _mm256_xor_si256(xv, yv);
-    const __m256i p = prefix_xor_x4(m);
-    const __m256i t = _mm256_srl_epi64(_mm256_and_si256(p, top), shr_w1);
-    const __m256i v = _mm256_sll_epi64(t, shl_w);
-    const __m256i corr = _mm256_sub_epi64(_mm256_sll_epi64(v, shl_w), v);
-    const __m256i sel =
-        _mm256_xor_si256(_mm256_xor_si256(p, corr), init);
-    const __m256i zv = _mm256_or_si256(_mm256_and_si256(xv, yv),
-                                       _mm256_and_si256(m, sel));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(z + i), zv);
-  }
-  const std::uint64_t inits = s0 ? 0 : ~std::uint64_t{0};
-  for (; i < n; ++i) {
-    const std::uint64_t m = x[i] ^ y[i];
-    const std::uint64_t p = prefix_xor(m);
-    const std::uint64_t t = (p & top_scalar) >> (width - 1);
-    const std::uint64_t v = (t << (width - 1)) << 1;
-    const std::uint64_t corr = ((v << (width - 1)) << 1) - v;
-    z[i] = (x[i] & y[i]) | (m & (p ^ corr ^ inits));
   }
 }
 
@@ -265,6 +421,15 @@ void mux_select_popcount_columns_avx2(const std::uint64_t* sel,
   }
 }
 
+void field_conv_avx2(const FieldTables& t, const std::uint8_t* levels,
+                     float* out) {
+  switch (t.lane_bits) {
+    case 16: conv<U16Lanes>(t, levels, out); return;
+    case 32: conv<WideLanes<32>>(t, levels, out); return;
+    default: conv<WideLanes<64>>(t, levels, out); return;
+  }
+}
+
 }  // namespace scbnn::sc::simd::detail
 
 #else  // !__AVX2__: stubs keep the library linkable; never dispatched to.
@@ -280,8 +445,6 @@ void tff_add_columns_avx2(const std::uint64_t*, const std::uint64_t*,
 void mux_select_columns_avx2(const std::uint64_t*, const std::uint64_t*,
                              const std::uint64_t*, std::uint64_t*,
                              std::size_t, std::size_t) {}
-void tff_add_fields_avx2(const std::uint64_t*, const std::uint64_t*,
-                         std::uint64_t*, std::size_t, unsigned, bool) {}
 void popcount_columns_avx2(const std::uint64_t*, std::size_t, std::size_t,
                            long*) {}
 void tff_add_popcount_columns_avx2(const std::uint64_t*, const std::uint64_t*,
@@ -290,6 +453,7 @@ void mux_select_popcount_columns_avx2(const std::uint64_t*,
                                       const std::uint64_t*,
                                       const std::uint64_t*, std::size_t,
                                       std::size_t, long*) {}
+void field_conv_avx2(const FieldTables&, const std::uint8_t*, float*) {}
 
 }  // namespace scbnn::sc::simd::detail
 

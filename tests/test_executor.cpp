@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,59 +25,9 @@
 #include "runtime/topology.h"
 #include "runtime/work_stealing_executor.h"
 
-// ----------------------------------------------------- allocation counting
-//
-// Global operator new/delete replacements let the zero-allocation
-// regression below observe every heap allocation in the binary. Counting
-// is always on (it is one relaxed increment); tests read the counter
-// delta around the window they care about.
-//
-// GCC pairs its builtin model of operator new with the free() it sees in
-// the replacement delete and flags every use site, even though this
-// malloc-based new/delete pair is consistent — suppress the false
-// positive for this TU.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Every heap allocation in the binary is counted (zero-allocation
+// regressions below).
+#include "counting_allocator.h"
 
 namespace scbnn::runtime {
 namespace {

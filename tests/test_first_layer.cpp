@@ -3,7 +3,10 @@
 // the feature-level expression of the paper's Table 3 ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "data/synthetic_mnist.h"
 #include "hybrid/binary_first_layer.h"
@@ -297,50 +300,186 @@ TEST(FirstLayerEngine, DesignNames) {
 // to StochasticFirstLayer for both styles at every precision — the fast
 // engines are an optimization, never an approximation.
 
+/// First-layer weights at any precision the engines take: the weight
+/// quantizer starts at 2 bits, so 1-bit kernels get random levels in
+/// [-2, 2] directly.
+nn::QuantizedConvWeights identity_weights(int kernels, unsigned bits,
+                                          std::uint64_t seed) {
+  if (bits >= 2) return sample_qweights(kernels, bits, seed);
+  nn::Rng rng(seed);
+  nn::QuantizedConvWeights qw;
+  qw.bits = bits;
+  qw.kernel_size = 5;
+  qw.in_channels = 1;
+  for (int k = 0; k < kernels; ++k) {
+    nn::QuantizedKernel qk;
+    for (int t = 0; t < 25; ++t) {
+      qk.levels.push_back(static_cast<int>(rng.next_u64() % 5) - 2);
+    }
+    qw.kernels.push_back(std::move(qk));
+  }
+  return qw;
+}
+
+/// Digits plus the frames that pin every leaf to one table entry:
+/// all-zero, all-one and a 0/1 checkerboard.
+std::vector<nn::Tensor> referee_frames(std::uint64_t first_digit) {
+  std::vector<nn::Tensor> frames;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    frames.push_back(sample_image(first_digit + i));
+  }
+  nn::Tensor zeros({1, 1, 28, 28});
+  nn::Tensor ones({1, 1, 28, 28});
+  nn::Tensor checker({1, 1, 28, 28});
+  for (std::size_t p = 0; p < 784; ++p) {
+    zeros[p] = 0.0f;
+    ones[p] = 1.0f;
+    checker[p] = ((p / 28 + p % 28) % 2 == 0) ? 1.0f : 0.0f;
+  }
+  frames.push_back(zeros);
+  frames.push_back(ones);
+  frames.push_back(checker);
+  return frames;
+}
+
+void expect_fast_matches_reference(ScStyle style, unsigned bits, int kernels,
+                                   double threshold, std::uint64_t seed) {
+  const auto qw = identity_weights(kernels, bits, seed);
+  FirstLayerConfig cfg;
+  cfg.bits = bits;
+  cfg.soft_threshold = threshold;
+  StochasticFirstLayer ref(style, qw, cfg);
+  FastStochasticFirstLayer fast(style, qw, cfg);
+  const auto frames = referee_frames(seed);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(run_engine(ref, frames[i]), run_engine(fast, frames[i]))
+        << "bits=" << bits << " kernels=" << kernels
+        << " threshold=" << threshold << " frame=" << i;
+  }
+}
+
 class FastBitIdentity : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FastBitIdentity, ProposedFastMatchesReferenceExactly) {
   const unsigned bits = GetParam();
-  const auto qw = sample_qweights(3, bits, 100 + bits);
-  FirstLayerConfig cfg;
-  cfg.bits = bits;
-  StochasticFirstLayer ref(ScStyle::kProposed, qw, cfg);
-  FastStochasticFirstLayer fast(ScStyle::kProposed, qw, cfg);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const nn::Tensor img = sample_image(70 + 3 * bits + i);
-    EXPECT_EQ(run_engine(ref, img), run_engine(fast, img))
-        << "bits=" << bits << " image=" << i;
-  }
+  expect_fast_matches_reference(ScStyle::kProposed, bits, 3, 0.0, 100 + bits);
 }
 
 TEST_P(FastBitIdentity, ConventionalFastMatchesReferenceExactly) {
   const unsigned bits = GetParam();
-  const auto qw = sample_qweights(3, bits, 200 + bits);
-  FirstLayerConfig cfg;
-  cfg.bits = bits;
-  StochasticFirstLayer ref(ScStyle::kConventional, qw, cfg);
-  FastStochasticFirstLayer fast(ScStyle::kConventional, qw, cfg);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const nn::Tensor img = sample_image(90 + 3 * bits + i);
-    EXPECT_EQ(run_engine(ref, img), run_engine(fast, img))
-        << "bits=" << bits << " image=" << i;
+  if (bits == 1) {
+    // No maximal-length LFSR is 1 bit wide: both engines refuse alike.
+    const auto qw = identity_weights(3, bits, 200);
+    FirstLayerConfig cfg;
+    cfg.bits = bits;
+    EXPECT_THROW(StochasticFirstLayer(ScStyle::kConventional, qw, cfg),
+                 std::invalid_argument);
+    EXPECT_THROW(FastStochasticFirstLayer(ScStyle::kConventional, qw, cfg),
+                 std::invalid_argument);
+    return;
+  }
+  expect_fast_matches_reference(ScStyle::kConventional, bits, 3, 0.0,
+                                200 + bits);
+}
+
+TEST_P(FastBitIdentity, ServingShapeMatchesReference) {
+  // 32 kernels reach most of the distinct weight levels a precision has.
+  const unsigned bits = GetParam();
+  for (const ScStyle style : {ScStyle::kProposed, ScStyle::kConventional}) {
+    if (style == ScStyle::kConventional && bits == 1) continue;
+    expect_fast_matches_reference(style, bits, 32, 0.0, 400 + bits);
   }
 }
 
 TEST_P(FastBitIdentity, FastMatchesReferenceWithSoftThreshold) {
   const unsigned bits = GetParam();
-  const auto qw = sample_qweights(2, bits, 300 + bits);
-  FirstLayerConfig cfg;
-  cfg.bits = bits;
-  cfg.soft_threshold = 1.0;
-  StochasticFirstLayer ref(ScStyle::kProposed, qw, cfg);
-  FastStochasticFirstLayer fast(ScStyle::kProposed, qw, cfg);
-  const nn::Tensor img = sample_image(55);
-  EXPECT_EQ(run_engine(ref, img), run_engine(fast, img)) << "bits=" << bits;
+  expect_fast_matches_reference(ScStyle::kProposed, bits, 2, 1.0, 300 + bits);
+}
+
+TEST_P(FastBitIdentity, ThresholdsOnCountBoundaries) {
+  // v = diff * 32/N, so a threshold of k * 32/N sits exactly on a count
+  // boundary (2.0 at 4 bits: v = 2 * diff), where the integer cutoffs must
+  // reproduce the strict comparisons; negative thresholds make both
+  // comparisons true near zero and +1 must win; a NaN threshold makes
+  // both false everywhere.
+  const unsigned bits = GetParam();
+  const double step = 32.0 / static_cast<double>(1u << bits);
+  for (const double threshold :
+       {step, 2.0, 3.0 * step, -step, -1.5, std::nan("")}) {
+    expect_fast_matches_reference(ScStyle::kProposed, bits, 2, threshold,
+                                  500 + bits);
+    if (bits > 1) {
+      expect_fast_matches_reference(ScStyle::kConventional, bits, 2,
+                                    threshold, 600 + bits);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Bits, FastBitIdentity,
-                         ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+TEST(FirstLayerEngine, QuantizePixelDefinedOnEveryFloat) {
+  EXPECT_EQ(quantize_pixel(std::nanf(""), 4), 0u);
+  EXPECT_EQ(quantize_pixel(-std::nanf(""), 4), 0u);
+  EXPECT_EQ(quantize_pixel(INFINITY, 4), 16u);
+  EXPECT_EQ(quantize_pixel(-INFINITY, 4), 0u);
+  EXPECT_EQ(quantize_pixel(2.5f, 4), 16u);
+  EXPECT_EQ(quantize_pixel(-3.0f, 4), 0u);
+  EXPECT_EQ(quantize_pixel(1e-40f, 4), 0u);  // denormal
+  EXPECT_EQ(quantize_pixel(-0.0f, 4), 0u);
+  EXPECT_EQ(quantize_pixel(0.5f, 4), 8u);
+  EXPECT_EQ(quantize_pixel(1.0f, 8), 256u);
+}
+
+TEST(FirstLayerEngine, NonFinitePixelsQuantizeLikeTheirClampedValues) {
+  // Sensor frames may carry NaN, +-Inf, denormals and out-of-range values.
+  // Every engine must treat them as the clamped frame (NaN as 0): the
+  // reference and fast SC engines stay identical, and the binary engine's
+  // integer dot product sees only in-range levels.
+  const nn::Tensor digit = sample_image(77);
+  const float specials[] = {std::nanf(""), INFINITY, -INFINITY, 1e-40f,
+                            -1e-40f,       2.5f,     -3.0f,     1e30f,
+                            -1e30f,        -0.0f};
+  std::vector<nn::Tensor> frames;
+  nn::Tensor all_nan({1, 1, 28, 28});
+  for (std::size_t p = 0; p < 784; ++p) all_nan[p] = std::nanf("");
+  frames.push_back(all_nan);
+  nn::Tensor mixed = digit;
+  for (std::size_t p = 0; p < 784; p += 3) {
+    mixed[p] = specials[(p / 3) % std::size(specials)];
+  }
+  frames.push_back(mixed);
+  const auto clamped = [](const nn::Tensor& f) {
+    nn::Tensor c = f;
+    for (std::size_t p = 0; p < c.size(); ++p) {
+      const float v = c[p];
+      c[p] = std::isnan(v) ? 0.0f : std::clamp(v, 0.0f, 1.0f);
+    }
+    return c;
+  };
+  for (const unsigned bits : {2u, 4u, 8u}) {
+    const auto qw = sample_qweights(4, bits, 900 + bits);
+    FirstLayerConfig cfg;
+    cfg.bits = bits;
+    BinaryFirstLayer binary(qw, cfg);
+    for (const ScStyle style : {ScStyle::kProposed, ScStyle::kConventional}) {
+      StochasticFirstLayer ref(style, qw, cfg);
+      FastStochasticFirstLayer fast(style, qw, cfg);
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const auto expect = run_engine(ref, clamped(frames[i]));
+        EXPECT_EQ(run_engine(ref, frames[i]), expect)
+            << "bits=" << bits << " frame=" << i;
+        EXPECT_EQ(run_engine(fast, frames[i]), expect)
+            << "bits=" << bits << " frame=" << i;
+      }
+    }
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(run_engine(binary, frames[i]),
+                run_engine(binary, clamped(frames[i])))
+          << "bits=" << bits << " frame=" << i;
+    }
+  }
+}
 
 TEST(FastFirstLayer, BatchMatchesSingleImagePath) {
   const auto qw = sample_qweights(3, 4, 14);
@@ -357,16 +496,20 @@ TEST(FastFirstLayer, BatchMatchesSingleImagePath) {
   }
 }
 
-TEST(FastFirstLayer, PackedLayoutSelectedForShortStreams) {
+TEST(FastFirstLayer, StripKernelSelectedForShortStreams) {
   const auto qw4 = sample_qweights(2, 4, 15);
+  const auto qw6 = sample_qweights(2, 6, 15);
   const auto qw8 = sample_qweights(2, 8, 15);
-  FirstLayerConfig cfg4, cfg8;
+  FirstLayerConfig cfg4, cfg6, cfg8;
   cfg4.bits = 4;
+  cfg6.bits = 6;
   cfg8.bits = 8;
   FastStochasticFirstLayer p4(ScStyle::kProposed, qw4, cfg4);
+  FastStochasticFirstLayer p6(ScStyle::kProposed, qw6, cfg6);
   FastStochasticFirstLayer p8(ScStyle::kProposed, qw8, cfg8);
-  EXPECT_EQ(p4.positions_per_word(), 4u);  // 64 / 2^4
-  EXPECT_EQ(p8.positions_per_word(), 1u);  // column-batched
+  EXPECT_TRUE(p4.register_resident());
+  EXPECT_TRUE(p6.register_resident());   // N = 64: one 64-bit lane
+  EXPECT_FALSE(p8.register_resident());  // column-batched
   EXPECT_EQ(p4.stream_length(), 16u);
   EXPECT_EQ(p8.stream_length(), 256u);
 }

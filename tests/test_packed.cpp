@@ -65,7 +65,7 @@ TEST(Packed, ReverseBitsIsInvolution) {
 TEST(Packed, PrefixXorIsLinearAndEndsInWordParity) {
   // prefix_xor is XOR-linear (each output bit is a parity of input bits),
   // and its top bit is the whole-word parity — the two algebraic facts the
-  // field-packed TFF kernel's cross-field correction relies on.
+  // column TFF kernels' per-lane carry update relies on.
   std::mt19937_64 rng(7);
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t a = rng(), b = rng();

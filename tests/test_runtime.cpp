@@ -9,10 +9,9 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,54 +32,9 @@
 #include "runtime/thread_pool.h"
 #include "sc/simd.h"
 
-// ----------------------------------------------------- allocation counting
-//
-// Global operator new/delete replacements (same scheme as
-// test_executor.cpp) let the zero-allocation classify regression observe
-// every heap allocation in the binary. Counting is always on; tests read
-// the counter delta around the window they care about.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Every heap allocation in the binary is counted (zero-allocation
+// regressions below).
+#include "counting_allocator.h"
 
 namespace scbnn::runtime {
 namespace {
@@ -416,8 +370,9 @@ struct FastTailRig {
   InferenceEngine engine;
   nn::Network ref_tail;
 
-  explicit FastTailRig(unsigned threads, int chunk_images = 4)
-      : engine("sc-proposed", sample_qweights(kTestLeNet.conv1_kernels, 4, 9),
+  explicit FastTailRig(unsigned threads, int chunk_images = 4,
+                       const std::string& backend = "sc-proposed")
+      : engine(backend, sample_qweights(kTestLeNet.conv1_kernels, 4, 9),
                [] {
                  hybrid::FirstLayerConfig c;
                  c.bits = 4;
@@ -550,6 +505,27 @@ TEST(FastTail, ClassifyWarmPathIsAllocationFree) {
   const long long after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
       << "warm classify() allocated " << (after - before) << " times";
+}
+
+// The serving configuration of the paper's 4-bit point: the SIMD strip
+// kernel runs on the stack, so the first layer adds no heap traffic to the
+// warm path either, on one worker or several.
+TEST(FastTail, FastFirstLayerWarmPathIsAllocationFree) {
+  const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 61);
+  for (const unsigned threads : {1u, 2u}) {
+    FastTailRig rig(threads, 4, "sc-proposed-fast");
+    ASSERT_TRUE(rig.engine.has_fast_tail());
+    std::vector<Prediction> preds(12);
+    (void)rig.engine.classify(split.train.images.data(), 12, preds.data());
+    (void)rig.engine.classify(split.train.images.data(), 12, preds.data());
+
+    const long long before = g_heap_allocs.load(std::memory_order_relaxed);
+    (void)rig.engine.classify(split.train.images.data(), 12, preds.data());
+    (void)rig.engine.classify(split.train.images.data(), 5, preds.data());
+    const long long after = g_heap_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0) << "threads=" << threads << ": warm classify() allocated "
+                                 << (after - before) << " times";
+  }
 }
 
 // ------------------------------------------------------------ InferencePlan
