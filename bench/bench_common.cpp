@@ -192,7 +192,6 @@ std::unique_ptr<runtime::Servable> make_frozen_servable(
 
   const auto rung_for = [&](unsigned rung_bits) {
     runtime::AdaptiveRung rung;
-    rung.bits = rung_bits;
     const auto qw = nn::quantize_conv_weights(hybrid::base_conv1_weights(base),
                                               rung_bits);
     hybrid::FirstLayerConfig flc;

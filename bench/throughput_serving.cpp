@@ -23,10 +23,9 @@
 // back to their canonical name, so the column reads as the fast path's
 // speedup over the seed scalar engine.
 // The executor scaling sweep (second table) serves the same workload
-// through `models` concurrent engines sharing ONE executor, comparing the
-// legacy central-queue ThreadPool against the WorkStealingExecutor (steal
-// on and off) at 1..hw threads — the A/B that justifies the executor
-// replacement. Knobs: --models / SCBNN_BENCH_MODELS (default 4) and
+// through `models` concurrent engines sharing ONE WorkStealingExecutor,
+// with chunk stealing on and off, at 1..hw threads; every cell's labels
+// are refereed against a 1-thread executor's. Knobs: --models / SCBNN_BENCH_MODELS (default 4) and
 // --reps / SCBNN_BENCH_REPS (batches per driver thread, default 3).
 #include <algorithm>
 #include <bit>
@@ -54,7 +53,6 @@
 #include "runtime/backend_registry.h"
 #include "runtime/inference_engine.h"
 #include "runtime/server.h"
-#include "runtime/thread_pool.h"
 #include "runtime/work_stealing_executor.h"
 
 namespace {
@@ -176,16 +174,15 @@ struct ScalingRow {
   unsigned threads = 1;
   int models = 1;
   double images_per_sec = 0.0;
-  double speedup_vs_central = 0.0;  // vs ThreadPool at same threads/models
   bool identical_predictions = true;
 };
 
-/// One shared executor of the named kind. Pinning is forced off so the
-/// sweep measures scheduling, not whatever SCBNN_PIN happens to be.
+/// One shared executor, chunk stealing on ("work-steal") or off
+/// ("work-steal-nosteal"). Pinning is forced off so the sweep measures
+/// scheduling, not whatever SCBNN_PIN happens to be.
 std::shared_ptr<scbnn::runtime::Executor> make_sweep_executor(
     const std::string& kind, unsigned threads) {
   using namespace scbnn::runtime;
-  if (kind == "central-queue") return std::make_shared<ThreadPool>(threads);
   WorkStealingExecutor::Options opt;
   opt.threads = threads;
   opt.steal = (kind == "work-steal");
@@ -360,8 +357,8 @@ int main(int argc, char** argv) {
   // ---------------------------------------------------- executor scaling
   // models engines share ONE executor; each engine gets a driver thread
   // serving `reps` batches. Aggregate images/sec per (executor, threads,
-  // models) cell, speedup read against the central-queue pool in the same
-  // cell, predictions refereed against a 1-thread central-queue reference.
+  // models) cell, predictions refereed against a 1-thread executor
+  // reference.
   const int scale_models = static_cast<int>(
       flags.get_long("models", "SCBNN_BENCH_MODELS", 4, 1, 16));
   const int scale_reps = static_cast<int>(
@@ -384,7 +381,7 @@ int main(int argc, char** argv) {
   std::vector<int> scale_reference;
   {
     runtime::RuntimeConfig rc;
-    rc.executor = make_sweep_executor("central-queue", 1);
+    rc.executor = make_sweep_executor("work-steal", 1);
     runtime::InferenceEngine engine(scale_backend, qw, flc, rc);
     nn::Rng trng(kSeed + 1);
     engine.set_tail(hybrid::build_tail(lenet, trng));
@@ -394,15 +391,12 @@ int main(int argc, char** argv) {
   std::printf("\nExecutor scaling: %s, %d images/batch, %d reps/model\n\n",
               scale_backend.c_str(), n, scale_reps);
   hw::TableWriter scaling_table(
-      {"executor", "threads", "models", "images/sec", "vs central",
-       "bit-identical"},
-      {20, 7, 6, 12, 10, 13});
+      {"executor", "threads", "models", "images/sec", "bit-identical"},
+      {20, 7, 6, 12, 13});
   scaling_table.print_header();
 
   std::vector<ScalingRow> scaling_rows;
-  std::map<std::pair<unsigned, int>, double> central_ips;
-  for (const char* kind :
-       {"central-queue", "work-steal", "work-steal-nosteal"}) {
+  for (const char* kind : {"work-steal", "work-steal-nosteal"}) {
     for (unsigned threads : scale_threads) {
       for (int models : scale_model_counts) {
         runtime::RuntimeConfig rc;
@@ -450,22 +444,11 @@ int main(int argc, char** argv) {
         for (const auto& preds : last_predictions) {
           row.identical_predictions &= (preds == scale_reference);
         }
-        if (std::string(kind) == "central-queue") {
-          central_ips[{threads, models}] = row.images_per_sec;
-        } else {
-          const auto ref = central_ips.find({threads, models});
-          if (ref != central_ips.end() && ref->second > 0.0) {
-            row.speedup_vs_central = row.images_per_sec / ref->second;
-          }
-        }
         scaling_rows.push_back(row);
 
         scaling_table.print_row(
             {row.executor, std::to_string(threads), std::to_string(models),
              hw::TableWriter::fmt(row.images_per_sec, 1),
-             row.speedup_vs_central > 0.0
-                 ? hw::TableWriter::fmt(row.speedup_vs_central) + "x"
-                 : "-",
              row.identical_predictions ? "yes" : "NO"});
       }
     }
@@ -637,10 +620,9 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "    {\"executor\": \"%s\", \"threads\": %u, "
                  "\"models\": %d, \"images_per_sec\": %.1f, "
-                 "\"speedup_vs_central_queue\": %.2f, "
                  "\"identical_predictions\": %s}%s\n",
                  row.executor.c_str(), row.threads, row.models,
-                 row.images_per_sec, row.speedup_vs_central,
+                 row.images_per_sec,
                  row.identical_predictions ? "true" : "false",
                  i + 1 < scaling_rows.size() ? "," : "");
   }

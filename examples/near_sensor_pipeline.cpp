@@ -32,7 +32,6 @@
 #include "hybrid/experiment.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/model_router.h"
-#include "runtime/thread_pool.h"
 #include "sensor/frame_source.h"
 #include "sensor/sensor_session.h"
 #include "sensor/stream_supervisor.h"
@@ -180,14 +179,15 @@ int main(int argc, char** argv) {
   int entering = kFrames;
   for (std::size_t r = 0; r < adaptive->rung_count(); ++r) {
     std::printf("  rung %zu (%u-bit): %3d frames entered, %3d exited\n", r,
-                adaptive->rung(r).bits, entering, exits[r]);
+                adaptive->rung(r).engine().bits(), entering, exits[r]);
     entering -= exits[r];
   }
-  // Energy of a fixed kBits design over the stream, from the same per-rung
-  // aggregation the pipeline uses internally.
-  const int kernels = adaptive->rung(0).engine->kernels();
-  const double fixed_j = hw::aggregate_rung_energy_j(
-      {{adaptive->rung(0).engine->name(), kBits, kernels, kFrames}});
+  // Energy of a fixed kBits design over the stream, priced per frame like
+  // every rung engine prices its batches.
+  const hybrid::FirstLayerEngine& first = adaptive->rung(0).engine();
+  const double fixed_j =
+      kFrames * hw::backend_energy_per_frame_j(first.name(), kBits,
+                                               first.kernels());
   std::printf("adaptive first-layer energy: %.1f nJ vs %.1f nJ fixed "
               "%u-bit — %.1f%% saved at %+d correct\n",
               adaptive_energy_j * 1e9, fixed_j * 1e9, kBits,

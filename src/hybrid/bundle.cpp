@@ -323,7 +323,6 @@ std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
   for (std::size_t r = first_rung; r < bundle.rungs.size(); ++r) {
     BundleRung& src = bundle.rungs[r];
     runtime::AdaptiveRung rung;
-    rung.bits = src.bits;
     rung.engine = registry.create(bundle.backend, src.qw, src.flc);
     rung.tail = tail_twin(bundle.lenet, bundle.trained_seed, src.tail);
     rungs.push_back(std::move(rung));

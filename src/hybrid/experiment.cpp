@@ -249,7 +249,6 @@ std::vector<runtime::AdaptiveRung> instantiate_ladder(
   rungs.reserve(ladder.size());
   for (TrainedRung& trained : ladder) {
     runtime::AdaptiveRung rung;
-    rung.bits = trained.bits;
     rung.engine =
         make_first_layer_engine(trained.design, trained.qw, trained.flc);
     nn::Rng rng(config.seed + 1);

@@ -19,9 +19,11 @@ namespace {
 
 using sc::Bitstream;
 
-/// Bipolar value -> SNG level on an N-step grid: p = (v + 1) / 2.
+/// Bipolar value -> SNG level on an N-step grid: p = (v + 1) / 2. Values
+/// outside [-1, 1] and +-Inf clamp to the range; NaN maps to level 0, like
+/// -1 (the same ordered-comparison rule as hybrid::quantize_pixel).
 std::uint32_t bipolar_level(double v, std::size_t n) {
-  v = std::clamp(v, -1.0, 1.0);
+  v = v > -1.0 ? (v < 1.0 ? v : 1.0) : -1.0;  // NaN -> -1
   return static_cast<std::uint32_t>(
       std::lround((v + 1.0) / 2.0 * static_cast<double>(n)));
 }

@@ -60,15 +60,4 @@ Tensor dequantize_conv_weights(const QuantizedConvWeights& q) {
   return w;
 }
 
-std::vector<std::uint32_t> quantize_activations(const float* x, std::size_t n,
-                                                unsigned bits) {
-  const auto full = static_cast<float>(std::uint32_t{1} << bits);
-  std::vector<std::uint32_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float clamped = std::clamp(x[i], 0.0f, 1.0f);
-    out[i] = static_cast<std::uint32_t>(std::lround(clamped * full));
-  }
-  return out;
-}
-
 }  // namespace scbnn::nn

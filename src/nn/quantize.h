@@ -38,8 +38,4 @@ struct QuantizedConvWeights {
 /// used to run the quantized-binary baseline inside the float substrate.
 [[nodiscard]] Tensor dequantize_conv_weights(const QuantizedConvWeights& q);
 
-/// Quantize unipolar activations in [0, 1] to integer levels in [0, 2^bits].
-[[nodiscard]] std::vector<std::uint32_t> quantize_activations(
-    const float* x, std::size_t n, unsigned bits);
-
 }  // namespace scbnn::nn

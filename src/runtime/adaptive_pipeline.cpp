@@ -1,27 +1,17 @@
 #include "runtime/adaptive_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
-#include <numeric>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
-#include "hw/report.h"
-#include "nn/loss.h"
 #include "obs/trace.h"
-#include "sc/simd.h"
 
 namespace scbnn::runtime {
 
 namespace {
 
-using Clock = ServeClock;
-
-double ms_since(Clock::time_point start) {
-  return ms_between(start, Clock::now());
-}
-
-std::vector<AdaptiveRung> validate_rungs(std::vector<AdaptiveRung> rungs) {
+void validate_rungs(const std::vector<AdaptiveRung>& rungs) {
   if (rungs.empty()) {
     throw std::invalid_argument("AdaptivePipeline: no rungs");
   }
@@ -30,20 +20,11 @@ std::vector<AdaptiveRung> validate_rungs(std::vector<AdaptiveRung> rungs) {
       throw std::invalid_argument("AdaptivePipeline: null engine in rung " +
                                   std::to_string(i));
     }
-    // bits drives the cycle/energy accounting; a mismatch with the engine's
-    // actual precision would silently misreport every stat.
-    if (rungs[i].bits != rungs[i].engine->bits()) {
-      throw std::invalid_argument(
-          "AdaptivePipeline: rung " + std::to_string(i) + " declares " +
-          std::to_string(rungs[i].bits) + " bits but its engine runs at " +
-          std::to_string(rungs[i].engine->bits()));
-    }
-    if (i > 0 && rungs[i].bits <= rungs[i - 1].bits) {
+    if (i > 0 && rungs[i].engine->bits() <= rungs[i - 1].engine->bits()) {
       throw std::invalid_argument(
           "AdaptivePipeline: rungs must have strictly increasing bits");
     }
   }
-  return rungs;
 }
 
 }  // namespace
@@ -51,224 +32,139 @@ std::vector<AdaptiveRung> validate_rungs(std::vector<AdaptiveRung> rungs) {
 AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
                                    double confidence_margin,
                                    RuntimeConfig config)
-    : rungs_(validate_rungs(std::move(rungs))),
-      confidence_margin_(confidence_margin),
-      config_(config.validate()),
-      pool_(config.resolve_executor()) {
+    : confidence_margin_(confidence_margin), config_(config.validate()) {
+  validate_rungs(rungs);
   if (confidence_margin < 0.0 || confidence_margin > 1.0) {
     throw std::invalid_argument("AdaptivePipeline: margin must be in [0,1]");
   }
-  scratch_.reserve(rungs_.size());
-  for (const AdaptiveRung& rung : rungs_) {
-    auto& per_worker = scratch_.emplace_back();
-    per_worker.reserve(pool_->size());
-    for (unsigned w = 0; w < pool_->size(); ++w) {
-      per_worker.push_back(rung.engine->make_scratch());
-    }
-  }
-  // Vectorized tail plans per rung; a plan-incompatible tail leaves a null
-  // slot and that rung serves through Network::forward instead.
-  plans_.reserve(rungs_.size());
-  arenas_.resize(rungs_.size());
-  for (std::size_t r = 0; r < rungs_.size(); ++r) {
-    std::unique_ptr<nn::InferencePlan> plan;
-    try {
-      plan = std::make_unique<nn::InferencePlan>(
-          rungs_[r].tail, rungs_[r].engine->kernels(), hybrid::kImageSize,
-          hybrid::kImageSize);
-    } catch (const std::invalid_argument&) {
-      plan = nullptr;
-    }
-    if (plan) {
-      arenas_[r].reserve(pool_->size());
-      for (unsigned w = 0; w < pool_->size(); ++w) {
-        arenas_[r].push_back(plan->make_arena(config_.chunk_images));
-      }
-    }
-    plans_.push_back(std::move(plan));
+  RuntimeConfig engine_config = config_;
+  engine_config.executor = config_.resolve_executor();
+  engines_.reserve(rungs.size());
+  stats_.rungs.resize(rungs.size());
+  for (std::size_t r = 0; r < rungs.size(); ++r) {
+    stats_.rungs[r].bits = rungs[r].engine->bits();
+    engines_.push_back(std::make_unique<InferenceEngine>(
+        std::move(rungs[r].engine), engine_config));
+    engines_.back()->set_tail(std::move(rungs[r].tail));
   }
 }
 
 int AdaptivePipeline::max_rung() const noexcept {
-  const int top = static_cast<int>(rungs_.size()) - 1;
+  const int top = static_cast<int>(engines_.size()) - 1;
   return std::clamp(max_rung_.load(std::memory_order_relaxed), 0, top);
-}
-
-double AdaptivePipeline::rung_cycles_per_image(std::size_t i) const {
-  const AdaptiveRung& r = rungs_.at(i);
-  return hw::sc_cycles_per_frame(r.bits, r.engine->kernels());
-}
-
-std::vector<AdaptiveOutcome> AdaptivePipeline::classify_outcomes(
-    const nn::Tensor& images) {
-  check_image_batch(images, "AdaptivePipeline::classify_outcomes");
-  return run_ladder(images.data(), images.dim(0));
-}
-
-std::vector<AdaptiveOutcome> AdaptivePipeline::run_ladder(const float* images,
-                                                          int n) {
-  constexpr std::size_t kPixels =
-      static_cast<std::size_t>(hybrid::kImageSize) * hybrid::kImageSize;
-
-  stats_ = PipelineStats{};
-  stats_.images = n;
-  stats_.threads = pool_->size();
-  stats_.rungs.assign(rungs_.size(), RungStats{});
-  for (std::size_t r = 0; r < rungs_.size(); ++r) {
-    stats_.rungs[r].bits = rungs_[r].bits;
-  }
-
-  std::vector<AdaptiveOutcome> out(static_cast<std::size_t>(n));
-  std::vector<int> active(static_cast<std::size_t>(n));
-  std::iota(active.begin(), active.end(), 0);
-
-  // Sampled once per batch: every frame of this batch climbs the same
-  // (possibly supervisor-shortened) ladder, and the last allowed rung
-  // accepts all of its survivors.
-  const auto last_rung = static_cast<std::size_t>(max_rung());
-  stats_.rung_cap = static_cast<int>(last_rung);
-
-  const auto batch_start = Clock::now();
-  std::vector<hw::RungEnergy> energy;  // per-rung traffic for the hw model
-  nn::Tensor survivors;  // dense sub-batch of escalated images (rung > 0)
-  for (std::size_t r = 0; r <= last_rung && !active.empty(); ++r) {
-    AdaptiveRung& rung = rungs_[r];
-    RungStats& rs = stats_.rungs[r];
-    const auto rung_start = Clock::now();
-    const int m = static_cast<int>(active.size());
-    obs::SpanScope rung_span(obs::SpanName::kPipelineRung,
-                             obs::ambient_trace_id(), r,
-                             static_cast<std::uint64_t>(m), rung.bits);
-
-    // Rung 0 sees the full batch in place; later rungs compact the
-    // unconfident survivors into a dense sub-batch so the chunked first
-    // layer and the tail forward stay contiguous.
-    const float* batch = images;
-    if (r > 0) {
-      survivors = nn::Tensor(
-          {m, 1, hybrid::kImageSize, hybrid::kImageSize});
-      for (int j = 0; j < m; ++j) {
-        const float* src =
-            images +
-            static_cast<std::size_t>(active[static_cast<std::size_t>(j)]) *
-                kPixels;
-        std::copy(src, src + kPixels,
-                  survivors.data() + static_cast<std::size_t>(j) * kPixels);
-      }
-      batch = survivors.data();
-    }
-
-    const int k = rung.engine->kernels();
-    nn::Tensor features({m, k, hybrid::kImageSize, hybrid::kImageSize});
-    const std::size_t out_stride = static_cast<std::size_t>(k) * kPixels;
-    const int chunk = config_.chunk_images;
-    const int jobs = (m + chunk - 1) / chunk;
-    const auto first_layer_start = Clock::now();
-    pool_->parallel_for(jobs, [&](int job, unsigned worker) {
-      const int first = job * chunk;
-      const int count = std::min(chunk, m - first);
-      rung.engine->compute_batch(
-          batch + static_cast<std::size_t>(first) * kPixels, count,
-          features.data() + static_cast<std::size_t>(first) * out_stride,
-          *scratch_[r][worker]);
-    });
-    const auto tail_start = Clock::now();
-    stats_.first_layer_ms += ms_between(first_layer_start, tail_start);
-
-    // Tail + margins: with a plan, the vectorized fast path runs
-    // executor-parallel over the same deterministic chunk homes as the
-    // first layer (per-image independence keeps it bit-identical to the
-    // serial reference); without one, Network::forward batch math on the
-    // calling thread.
-    std::vector<nn::SoftmaxMargin> margins;
-    if (plans_[r]) {
-      const nn::InferencePlan& plan = *plans_[r];
-      const int classes = plan.classes();
-      logits_.resize(static_cast<std::size_t>(m) * classes);
-      const sc::simd::Level level = sc::simd::active_level();
-      pool_->parallel_for(jobs, [&](int job, unsigned worker) {
-        const int first = job * chunk;
-        const int count = std::min(chunk, m - first);
-        plan.run(features.data() +
-                     static_cast<std::size_t>(first) * plan.input_size(),
-                 count,
-                 logits_.data() + static_cast<std::size_t>(first) * classes,
-                 arenas_[r][worker], level);
-      });
-      margins.resize(static_cast<std::size_t>(m));
-      for (int j = 0; j < m; ++j) {
-        margins[static_cast<std::size_t>(j)] = nn::softmax_margin_row(
-            logits_.data() + static_cast<std::size_t>(j) * classes, classes);
-      }
-    } else {
-      const nn::Tensor logits =
-          rung.tail.forward(features, /*training=*/false);
-      margins = nn::softmax_margins(logits);
-    }
-    stats_.tail_ms += ms_since(tail_start);
-
-    const double cycles_per_image = rung_cycles_per_image(r);
-    energy.push_back({rung.engine->name(), rung.bits, k, m});
-    const bool last = r == last_rung;
-    std::vector<int> next;
-    for (int j = 0; j < m; ++j) {
-      const int idx = active[static_cast<std::size_t>(j)];
-      const nn::SoftmaxMargin& sm = margins[static_cast<std::size_t>(j)];
-      AdaptiveOutcome& o = out[static_cast<std::size_t>(idx)];
-      o.predicted = sm.best;
-      o.rung = static_cast<int>(r);
-      o.bits_used = rung.bits;
-      o.margin = sm.margin;
-      o.cycles += cycles_per_image;
-      if (sm.margin < confidence_margin_ && !last) next.push_back(idx);
-    }
-
-    rs.images_in = m;
-    rs.images_exited = m - static_cast<int>(next.size());
-    rs.sc_cycles = static_cast<double>(m) * cycles_per_image;
-    rs.energy_j = hw::aggregate_rung_energy_j({energy.back()});
-    rs.latency_ms = ms_since(rung_start);
-    active = std::move(next);
-  }
-
-  stats_.set_timing(n, pool_->size(), ms_since(batch_start));
-  stats_.energy_j = hw::aggregate_rung_energy_j(energy);
-  for (const RungStats& rs : stats_.rungs) stats_.sc_cycles += rs.sc_cycles;
-  return out;
 }
 
 ServeStats AdaptivePipeline::classify(const float* images, int n,
                                       Prediction* out) {
-  const std::vector<AdaptiveOutcome> outcomes = run_ladder(images, n);
-  for (int i = 0; i < n; ++i) {
-    const AdaptiveOutcome& o = outcomes[static_cast<std::size_t>(i)];
-    Prediction& p = out[i];
-    p = Prediction{};
-    p.label = o.predicted;
-    p.margin = o.margin;
-    p.rung = o.rung;
-    p.bits_used = o.bits_used;
-    p.rung_cap = stats_.rung_cap;
+  constexpr std::size_t kPixels =
+      static_cast<std::size_t>(hybrid::kImageSize) * hybrid::kImageSize;
+  const auto batch_start = ServeClock::now();
+
+  static_cast<ServeStats&>(stats_) = ServeStats{};
+  for (RungStats& rs : stats_.rungs) rs = RungStats{rs.bits};
+  // Sampled once per batch: every frame of this batch climbs the same
+  // (possibly supervisor-shortened) ladder, and the last allowed rung
+  // accepts all of its survivors.
+  const int last_rung = max_rung();
+  stats_.rung_cap = last_rung;
+  active_.reserve(static_cast<std::size_t>(n));
+  next_.reserve(static_cast<std::size_t>(n));
+
+  int m = n;  // frames entering rung r
+  for (int r = 0; r <= last_rung && m > 0; ++r) {
+    InferenceEngine& engine = *engines_[static_cast<std::size_t>(r)];
+    // Rung 0 classifies the whole batch straight into `out`; later rungs
+    // gather the survivors into a dense sub-batch and scatter back.
+    const float* batch = images;
+    Prediction* preds = out;
+    if (r > 0) {
+      survivors_.resize(static_cast<std::size_t>(m) * kPixels);
+      for (int j = 0; j < m; ++j) {
+        const float* src =
+            images +
+            static_cast<std::size_t>(active_[static_cast<std::size_t>(j)]) *
+                kPixels;
+        std::copy(src, src + kPixels,
+                  survivors_.data() + static_cast<std::size_t>(j) * kPixels);
+      }
+      survivor_out_.resize(static_cast<std::size_t>(m));
+      batch = survivors_.data();
+      preds = survivor_out_.data();
+    }
+    {
+      obs::SpanScope rung_span(obs::SpanName::kPipelineRung,
+                               obs::ambient_trace_id(),
+                               static_cast<std::uint64_t>(r),
+                               static_cast<std::uint64_t>(m),
+                               engine.engine().bits());
+      engine.classify(batch, m, preds);
+    }
+
+    next_.clear();
+    for (int j = 0; j < m; ++j) {
+      const int idx = r == 0 ? j : active_[static_cast<std::size_t>(j)];
+      Prediction& p = out[idx];
+      if (r > 0) p = preds[j];
+      p.rung = r;
+      p.rung_cap = last_rung;
+      if (p.margin < confidence_margin_ && r != last_rung) {
+        next_.push_back(idx);
+      }
+    }
+
+    const ServeStats& es = engine.last_stats();
+    RungStats& rs = stats_.rungs[static_cast<std::size_t>(r)];
+    rs.images_in = m;
+    rs.images_exited = m - static_cast<int>(next_.size());
+    rs.latency_ms = es.latency_ms;
+    rs.sc_cycles = es.sc_cycles;
+    rs.energy_j = es.energy_j;
+    stats_.sc_cycles += es.sc_cycles;
+    stats_.energy_j += es.energy_j;
+    stats_.first_layer_ms += es.first_layer_ms;
+    stats_.tail_ms += es.tail_ms;
+    active_.swap(next_);
+    m = static_cast<int>(active_.size());
   }
+
+  stats_.set_timing(n, threads(), ms_between(batch_start, ServeClock::now()));
   return stats_;
+}
+
+std::vector<AdaptiveOutcome> AdaptivePipeline::classify_outcomes(
+    const nn::Tensor& images) {
+  const std::vector<Prediction> preds = classify(images);
+  // A frame accepted at rung r paid every rung up to r: prefix sums, added
+  // in rung order like the per-rung totals.
+  std::vector<double> cycles_through(engines_.size());
+  double cycles = 0.0;
+  for (std::size_t r = 0; r < engines_.size(); ++r) {
+    cycles += rung_cycles_per_image(r);
+    cycles_through[r] = cycles;
+  }
+  std::vector<AdaptiveOutcome> outcomes(preds.size());
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    const Prediction& p = preds[i];
+    outcomes[i] = {p.label, p.rung, p.bits_used, p.margin,
+                   cycles_through[static_cast<std::size_t>(p.rung)]};
+  }
+  return outcomes;
+}
+
+std::vector<int> AdaptivePipeline::predict(const nn::Tensor& images) {
+  const std::vector<Prediction> preds = classify(images);
+  std::vector<int> labels(preds.size());
+  for (std::size_t i = 0; i < preds.size(); ++i) labels[i] = preds[i].label;
+  return labels;
 }
 
 std::string AdaptivePipeline::name() const {
   std::string bits;
-  for (const AdaptiveRung& rung : rungs_) {
+  for (const auto& engine : engines_) {
     if (!bits.empty()) bits += "/";
-    bits += std::to_string(rung.bits);
+    bits += std::to_string(engine->engine().bits());
   }
-  return "adaptive(" + bits + "-bit " + rungs_.front().engine->name() + ")";
-}
-
-std::vector<int> AdaptivePipeline::predict(const nn::Tensor& images) {
-  const std::vector<AdaptiveOutcome> outcomes = classify_outcomes(images);
-  std::vector<int> predictions(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    predictions[i] = outcomes[i].predicted;
-  }
-  return predictions;
+  return "adaptive(" + bits + "-bit " + engines_.front()->name() + ")";
 }
 
 }  // namespace scbnn::runtime

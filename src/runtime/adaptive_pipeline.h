@@ -2,27 +2,31 @@
 //
 // The paper's dynamic energy-accuracy trade-off (run the stochastic first
 // layer at few bits, escalate to high precision only for uncertain inputs)
-// as a first-class serving construct: an ordered ladder of precision rungs,
-// each a {bits, FirstLayerEngine, retrained binary tail} triple. A batch
-// enters the cheapest rung, the first layer is chunked across the shared
-// executor, the rung's tail scores every image, and only the images whose
-// softmax top1-top2 margin falls below the confidence threshold are
-// compacted into a dense sub-batch and escalated to the next rung.
+// as a first-class serving construct. Each precision is a complete hybrid
+// network — an SC first layer at b bits plus the binary tail retrained for
+// b bits — so each rung is exactly one InferenceEngine with its tail
+// attached, and the pipeline is an ordered ladder of those engines on one
+// shared executor. A batch enters the cheapest engine straight into the
+// caller's Predictions; only the frames whose softmax top1-top2 margin
+// falls below the confidence threshold are gathered into a dense sub-batch
+// and classified by the next engine. Chunking, tail plans, energy and
+// cycle pricing all live in the engine; the ladder adds the gather, the
+// scatter and the per-rung bookkeeping. A warm batch allocates nothing.
 //
 // Determinism contract: escalation decisions depend only on per-image
-// arithmetic (first-layer features are bit-identical at any chunking, the
-// tail forward is per-image independent), so predictions, margins, and
-// cycle totals are bit-identical across thread counts and match a serial
-// rung-by-rung escalation of each image.
+// arithmetic (each engine's Predictions are bit-identical at any chunking
+// and thread count), so predictions, margins, and cycle totals are
+// bit-identical across thread counts and match a serial rung-by-rung
+// escalation of each image.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hybrid/first_layer.h"
-#include "nn/inference_plan.h"
 #include "nn/network.h"
 #include "runtime/executor.h"
 #include "runtime/inference_engine.h"
@@ -31,28 +35,27 @@
 namespace scbnn::runtime {
 
 /// One precision rung: a frozen first-layer engine and the binary tail
-/// retrained for that precision. Rungs are ordered cheapest first and must
-/// have strictly increasing bits; `bits` must equal the engine's bits()
-/// (it drives the rung's cycle/energy accounting).
+/// retrained for that precision. Rungs are ordered cheapest first and the
+/// engines must run at strictly increasing bits.
 struct AdaptiveRung {
-  unsigned bits = 8;
   std::unique_ptr<hybrid::FirstLayerEngine> engine;
   nn::Network tail;
 };
 
-/// Per-rung serving statistics for one classify() batch.
+/// Per-rung serving statistics for one classify() batch, read off the
+/// rung engine's last_stats().
 struct RungStats {
   unsigned bits = 0;
   int images_in = 0;      ///< images entering this rung
   int images_exited = 0;  ///< images accepted (confident or last rung)
   double latency_ms = 0.0;
-  double sc_cycles = 0.0;  ///< SC cycles spent: images_in * kernels * 2^bits
+  double sc_cycles = 0.0;  ///< SC cycles spent (0 for non-SC backends)
   double energy_j = 0.0;   ///< first-layer energy from the 65nm model
 };
 
 /// Whole-pipeline statistics for one classify() batch: the shared serving
-/// totals (sc_cycles/energy_j summed over rungs) plus the per-rung
-/// breakdown.
+/// totals (sc_cycles, energy_j, first_layer_ms, tail_ms summed over rungs
+/// in rung order) plus the per-rung breakdown.
 struct PipelineStats : ServeStats {
   std::vector<RungStats> rungs;
   /// Escalation ceiling this batch ran under (== the ladder top when
@@ -75,11 +78,11 @@ struct AdaptiveOutcome {
 
 class AdaptivePipeline : public Servable {
  public:
-  /// `rungs` must be non-empty, engines non-null, bits strictly increasing
-  /// and matching each engine's precision;
-  /// `confidence_margin` in [0, 1] is the minimum softmax top1-top2 gap to
-  /// accept a rung's verdict without escalating. Throws
-  /// std::invalid_argument on any violation (config included).
+  /// `rungs` must be non-empty, engines non-null and at strictly
+  /// increasing bits; `confidence_margin` in [0, 1] is the minimum softmax
+  /// top1-top2 gap to accept a rung's verdict without escalating. Every
+  /// rung becomes an InferenceEngine on the executor `config` resolves to.
+  /// Throws std::invalid_argument on any violation (config included).
   AdaptivePipeline(std::vector<AdaptiveRung> rungs, double confidence_margin,
                    RuntimeConfig config = {});
 
@@ -101,12 +104,12 @@ class AdaptivePipeline : public Servable {
   /// "adaptive(<bits>/<bits>/...-bit <backend>)".
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] unsigned threads() const noexcept override {
-    return pool_->size();
+    return executor()->size();
   }
   /// Escalation cap for precision-degrading load shedding: subsequent
   /// batches stop escalating past rung `cap` (clamped to the ladder; the
   /// last allowed rung accepts every survivor). The cap is sampled once
-  /// per run_ladder() call, so a batch is internally consistent, and with
+  /// per classify() call, so a batch is internally consistent, and with
   /// the cap at the ladder top predictions are bit-identical to the
   /// uncapped pipeline. Safe to call from a supervisor thread while the
   /// batch former classifies.
@@ -115,24 +118,25 @@ class AdaptivePipeline : public Servable {
   }
   /// Current escalation ceiling, clamped to [0, rung_count() - 1].
   [[nodiscard]] int max_rung() const noexcept override;
-  /// The executor this pipeline computes on — pass it to further models to
+  /// The executor every rung computes on — pass it to further models to
   /// share one pool.
   [[nodiscard]] const std::shared_ptr<Executor>& executor() const noexcept {
-    return pool_;
+    return engines_.front()->executor();
   }
   /// Live counters of that executor (fleet-wide totals when shared).
   [[nodiscard]] ExecutorStats executor_stats() const override {
-    return pool_->stats();
+    return executor()->stats();
   }
 
   [[nodiscard]] const PipelineStats& last_stats() const noexcept {
     return stats_;
   }
   [[nodiscard]] std::size_t rung_count() const noexcept {
-    return rungs_.size();
+    return engines_.size();
   }
-  [[nodiscard]] const AdaptiveRung& rung(std::size_t i) const {
-    return rungs_.at(i);
+  /// The engine serving rung `i` (its tail attached).
+  [[nodiscard]] const InferenceEngine& rung(std::size_t i) const {
+    return *engines_.at(i);
   }
   [[nodiscard]] double confidence_margin() const noexcept {
     return confidence_margin_;
@@ -141,32 +145,23 @@ class AdaptivePipeline : public Servable {
     return config_;
   }
 
-  /// SC cycles one image costs at rung `i` — kernels taken from the rung's
-  /// engine, not assumed to be 32.
-  [[nodiscard]] double rung_cycles_per_image(std::size_t i) const;
+  /// SC cycles one image costs at rung `i`, as the rung's engine prices it
+  /// (kernels taken from the engine, not assumed to be 32; 0 for backends
+  /// without an SC notion).
+  [[nodiscard]] double rung_cycles_per_image(std::size_t i) const {
+    return rung(i).sc_cycles_per_frame();
+  }
 
  private:
-  /// The ladder core shared by both classify() flavors: escalate `n`
-  /// contiguous frames and return per-image outcomes, refreshing stats_.
-  [[nodiscard]] std::vector<AdaptiveOutcome> run_ladder(const float* images,
-                                                        int n);
-
-  std::vector<AdaptiveRung> rungs_;
+  std::vector<std::unique_ptr<InferenceEngine>> engines_;
   std::atomic<int> max_rung_{kUncappedRung};
   double confidence_margin_;
   RuntimeConfig config_;
-  std::shared_ptr<Executor> pool_;  ///< private or shared (config.executor)
-  // scratch_[rung][worker]: each rung's engine keeps one workspace per pool
-  // worker, reused across batches.
-  std::vector<std::vector<std::unique_ptr<hybrid::FirstLayerEngine::Scratch>>>
-      scratch_;
-  // Vectorized tail plans, one per rung (null => that rung falls back to
-  // Network::forward on the calling thread), with arenas_[rung][worker]
-  // mirroring scratch_. Rung tails are frozen after construction, so the
-  // packed parameters never go stale.
-  std::vector<std::unique_ptr<nn::InferencePlan>> plans_;
-  std::vector<std::vector<nn::InferencePlan::Arena>> arenas_;
-  std::vector<float> logits_;  ///< grow-only per-rung logits buffer
+  // Grow-only escalation buffers: survivors' frame indices (this rung's
+  // and the next's), their gathered pixels, and their Predictions.
+  std::vector<int> active_, next_;
+  std::vector<float> survivors_;
+  std::vector<Prediction> survivor_out_;
   PipelineStats stats_;
 };
 

@@ -1,16 +1,19 @@
-// Batched first-layer inference runtime.
+// Batched inference runtime: one hybrid network on one executor.
 //
-// Wraps a FirstLayerEngine with a thread pool: image batches are split into
+// Wraps a FirstLayerEngine with an Executor: image batches are split into
 // fixed-size chunks, each worker evaluates its chunks against a private
 // scratch buffer, and results land in pre-assigned slices of the output
 // tensor — so features are bit-identical to the serial path at every thread
-// count. Each batch reports latency, throughput, and a first-layer energy
-// estimate from the calibrated 65nm hardware model.
+// count. Each batch reports latency, throughput, the first-layer/tail stage
+// split, SC cycles and a first-layer energy estimate from the calibrated
+// 65nm hardware model (per-frame costs resolved once, at construction).
 //
 // With a tail network attached (set_tail), the engine is a full Servable:
-// classify() runs the threaded first layer, forwards the tail on the
-// calling thread, and reports softmax-margin Predictions — the
-// fixed-precision counterpart of AdaptivePipeline.
+// classify() runs the first layer and the vectorized tail plan, both
+// executor-parallel and allocation-free when warm (a tail the plan cannot
+// run falls back to Network::forward), and reports softmax-margin
+// Predictions. It is the fixed-precision backend, and each
+// rung of an AdaptivePipeline is one of these engines.
 #pragma once
 
 #include <memory>
@@ -33,8 +36,7 @@ struct RuntimeConfig {
   /// ignored — the pool is already sized), so any number of models can
   /// serve from one fixed set of workers without oversubscription. When
   /// null (the default), a private WorkStealingExecutor of `threads`
-  /// workers is built. Any Executor implementation is accepted (the
-  /// legacy central-mutex ThreadPool included, for A/B comparison).
+  /// workers is built. Any Executor implementation is accepted.
   std::shared_ptr<Executor> executor;
 
   /// Reject nonsense before any pool or scratch is built: chunk_images must
@@ -130,6 +132,11 @@ class InferenceEngine : public Servable {
   }
   [[nodiscard]] const hybrid::FirstLayerEngine& engine() const noexcept {
     return *engine_;
+  }
+  /// SC cycles one frame costs on this backend (0 without an SC notion,
+  /// e.g. "binary-quantized"); last_stats().sc_cycles is n times this.
+  [[nodiscard]] double sc_cycles_per_frame() const noexcept {
+    return sc_cycles_per_frame_;
   }
   [[nodiscard]] Executor& pool() noexcept { return *pool_; }
   /// The executor this engine computes on — pass it to further engines to

@@ -9,7 +9,7 @@
 // without touching anyone else's.
 //
 // Compute is meant to be shared: instantiate every model's Servable with
-// the same RuntimeConfig::executor so N models multiplex one ThreadPool
+// the same RuntimeConfig::executor so N models multiplex one executor
 // instead of spawning N pools that oversubscribe the machine. The router
 // itself adds only one lightweight batch-former thread per model.
 //

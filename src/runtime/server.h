@@ -22,7 +22,7 @@
 //   - Graceful shutdown: shutdown() (and the destructor) stop admissions,
 //     drain every queued request through the backend, resolve all futures,
 //     and join the batch former — the same drain-then-join semantics as
-//     ThreadPool.
+//     the Executor.
 #pragma once
 
 #include <cstddef>

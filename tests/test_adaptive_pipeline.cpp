@@ -1,7 +1,7 @@
 // Adaptive-precision pipeline tests: ladder validation, escalation edge
-// cases, per-rung stats, kernel-derived cycle accounting, thread-count
-// bit-identity, and equivalence with a serial rung-by-rung escalation
-// reference (and with the single-image ProgressiveClassifier adapter).
+// cases, per-rung stats and energy, kernel-derived cycle accounting,
+// thread-count bit-identity, and equivalence with a serial rung-by-rung
+// escalation reference.
 #include "runtime/adaptive_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "data/synthetic_mnist.h"
 #include "hw/report.h"
 #include "hybrid/experiment.h"
-#include "hybrid/progressive.h"
 #include "nn/loss.h"
 #include "nn/quantize.h"
 
@@ -32,20 +31,19 @@ hybrid::LeNetConfig tiny_lenet() {
 /// tails copied (not retrained — tests only need structural behavior).
 /// Deterministic: two calls with the same arguments yield rungs with
 /// bit-identical engines and tail weights.
-std::vector<AdaptiveRung> make_rungs(nn::Network& base,
-                                     const hybrid::LeNetConfig& lenet,
-                                     std::initializer_list<unsigned> bits) {
+std::vector<AdaptiveRung> make_rungs(
+    nn::Network& base, const hybrid::LeNetConfig& lenet,
+    std::initializer_list<unsigned> bits,
+    hybrid::FirstLayerDesign design = hybrid::FirstLayerDesign::kScProposed) {
   std::vector<AdaptiveRung> rungs;
   for (unsigned b : bits) {
     AdaptiveRung rung;
-    rung.bits = b;
     const auto qw =
         nn::quantize_conv_weights(hybrid::base_conv1_weights(base), b);
     hybrid::FirstLayerConfig flc;
     flc.bits = b;
     flc.soft_threshold = 0.3;
-    rung.engine = hybrid::make_first_layer_engine(
-        hybrid::FirstLayerDesign::kScProposed, qw, flc);
+    rung.engine = hybrid::make_first_layer_engine(design, qw, flc);
     nn::Rng rng(7);
     rung.tail = hybrid::build_tail(lenet, rng);
     hybrid::copy_tail_params(base, rung.tail);
@@ -78,15 +76,6 @@ TEST_F(AdaptivePipelineTest, NonIncreasingBitsThrow) {
   auto more = make_rungs(base_, tiny_lenet(), {4u});
   equal_bits.push_back(std::move(more[0]));
   EXPECT_THROW(AdaptivePipeline(std::move(equal_bits), 0.5),
-               std::invalid_argument);
-}
-
-TEST_F(AdaptivePipelineTest, BitsMismatchedWithEngineThrows) {
-  // rung.bits drives cycle/energy accounting, so it must agree with the
-  // engine's actual precision instead of silently misreporting stats.
-  auto rungs = make_rungs(base_, tiny_lenet(), {3u, 6u});
-  rungs[0].bits = 2;  // engine really runs at 3 bits
-  EXPECT_THROW(AdaptivePipeline(std::move(rungs), 0.5),
                std::invalid_argument);
 }
 
@@ -220,13 +209,13 @@ TEST_F(AdaptivePipelineTest, CycleAccountingDerivesKernelsFromEngine) {
   // The tiny base model has 8 first-layer kernels, not the paper's 32 —
   // cycle totals must reflect the engine, not a hardcoded default.
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}), 0.0);
-  EXPECT_EQ(pipeline.rung(0).engine->kernels(), 8);
+  EXPECT_EQ(pipeline.rung(0).engine().kernels(), 8);
   EXPECT_DOUBLE_EQ(pipeline.rung_cycles_per_image(0),
                    hw::sc_cycles_per_frame(3, 8));
   EXPECT_DOUBLE_EQ(pipeline.rung_cycles_per_image(1),
                    hw::sc_cycles_per_frame(6, 8));
   EXPECT_NE(pipeline.rung_cycles_per_image(0),
-            hybrid::ProgressiveClassifier::fixed_cycles(3));  // 32-kernel
+            hw::sc_cycles_per_frame(3, 32));  // the paper's 32 kernels
 }
 
 TEST_F(AdaptivePipelineTest, BitIdenticalAcrossThreadCounts) {
@@ -273,9 +262,9 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
           nn::softmax_margins(rung.tail.forward(features, false));
       o.predicted = margins[0].best;
       o.rung = static_cast<int>(r);
-      o.bits_used = rung.bits;
+      o.bits_used = rung.engine->bits();
       o.margin = margins[0].margin;
-      o.cycles += hw::sc_cycles_per_frame(rung.bits, k);
+      o.cycles += hw::sc_cycles_per_frame(rung.engine->bits(), k);
       if (o.margin >= margin || r + 1 == ref_rungs.size()) break;
     }
   }
@@ -297,30 +286,26 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
   }
 }
 
-TEST_F(AdaptivePipelineTest, ProgressiveAdapterMatchesPipeline) {
-  const double margin = 0.35;
-  std::vector<hybrid::PrecisionRung> cls_rungs;
-  for (auto& rung : make_rungs(base_, tiny_lenet(), {3u, 6u})) {
-    hybrid::PrecisionRung pr;
-    pr.bits = rung.bits;
-    pr.engine = std::move(rung.engine);
-    pr.tail = std::move(rung.tail);
-    cls_rungs.push_back(std::move(pr));
-  }
-  hybrid::ProgressiveClassifier cls(std::move(cls_rungs), margin);
-  AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}),
-                            margin);
+TEST_F(AdaptivePipelineTest, OutcomesAndAverageCyclesWithinLadderBounds) {
+  // An intermediate margin: every outcome is a valid verdict from one of
+  // the two rungs, and the average cycles per image lie between the cheap
+  // rung alone and the sum of both rungs.
+  AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}), 0.35);
   const auto outcomes = pipeline.classify_outcomes(split_.train.images);
-  const int n = split_.train.images.dim(0);
-  for (int i = 0; i < n; ++i) {
-    const auto single = cls.classify(split_.train.images.data() +
-                                     static_cast<std::size_t>(i) * 784);
-    const auto& batched = outcomes[static_cast<std::size_t>(i)];
-    EXPECT_EQ(single.predicted, batched.predicted) << "image " << i;
-    EXPECT_EQ(single.bits_used, batched.bits_used) << "image " << i;
-    EXPECT_EQ(single.margin, batched.margin) << "image " << i;
-    EXPECT_EQ(single.cycles, batched.cycles) << "image " << i;
+  double total = 0.0;
+  for (const AdaptiveOutcome& o : outcomes) {
+    EXPECT_GE(o.predicted, 0);
+    EXPECT_LT(o.predicted, 10);
+    EXPECT_GE(o.margin, 0.0);
+    EXPECT_LE(o.margin, 1.0);
+    EXPECT_TRUE(o.bits_used == 3u || o.bits_used == 6u);
+    total += o.cycles;
   }
+  const double avg = total / static_cast<double>(outcomes.size());
+  const double cheap = hw::sc_cycles_per_frame(3, 8);
+  EXPECT_GE(avg, cheap - 1e-9);
+  EXPECT_LE(avg, cheap + hw::sc_cycles_per_frame(6, 8) + 1e-9);
+  EXPECT_DOUBLE_EQ(avg, pipeline.last_stats().mean_cycles_per_image());
 }
 
 TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
@@ -331,11 +316,18 @@ TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
   EXPECT_EQ(stats.images, n);
   int exited = 0;
   double cycles = 0.0, energy = 0.0;
-  for (const RungStats& rs : stats.rungs) {
+  for (std::size_t r = 0; r < stats.rungs.size(); ++r) {
+    const RungStats& rs = stats.rungs[r];
     exited += rs.images_exited;
     cycles += rs.sc_cycles;
     energy += rs.energy_j;
     EXPECT_GE(rs.images_in, rs.images_exited);
+    // Every frame entering a rung pays that backend's per-frame cost.
+    const hybrid::FirstLayerEngine& engine = pipeline.rung(r).engine();
+    EXPECT_EQ(rs.energy_j,
+              rs.images_in * hw::backend_energy_per_frame_j(
+                                 engine.name(), rs.bits, engine.kernels()))
+        << "rung " << r;
   }
   EXPECT_EQ(exited, n);  // every image exits exactly once
   EXPECT_DOUBLE_EQ(stats.sc_cycles, cycles);
@@ -347,6 +339,22 @@ TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
   EXPECT_DOUBLE_EQ(outcome_cycles, stats.sc_cycles);
   EXPECT_GE(stats.mean_cycles_per_image(),
             pipeline.rung_cycles_per_image(0) - 1e-9);
+}
+
+TEST_F(AdaptivePipelineTest, BinaryLadderSpendsNoScCyclesButPricesEnergy) {
+  // Each rung prices its frames like a lone engine of its backend: the
+  // exact binary design has no stochastic cycles, only energy.
+  AdaptivePipeline pipeline(
+      make_rungs(base_, tiny_lenet(), {3u, 6u},
+                 hybrid::FirstLayerDesign::kBinaryQuantized),
+      1.0);
+  EXPECT_EQ(pipeline.rung_cycles_per_image(0), 0.0);
+  const auto outcomes = pipeline.classify_outcomes(split_.train.images);
+  for (const AdaptiveOutcome& o : outcomes) EXPECT_EQ(o.cycles, 0.0);
+  const PipelineStats& stats = pipeline.last_stats();
+  EXPECT_EQ(stats.sc_cycles, 0.0);
+  EXPECT_EQ(stats.rungs[1].images_in, split_.train.images.dim(0));
+  EXPECT_GT(stats.energy_j, 0.0);
 }
 
 TEST_F(AdaptivePipelineTest, RejectsBadInputShape) {

@@ -1,9 +1,10 @@
-// WorkStealingExecutor tests: lifecycle and exception safety mirroring the
-// legacy ThreadPool contract, the concurrency contract (concurrent
-// parallel_for callers, exception mid-steal, shutdown racing stealers),
-// steal-on/off bit identity across the fast SC backends, the
-// zero-allocation guarantee of the parallel_for hot path, per-worker stat
-// aggregation, and the pure topology/pin-plan layer.
+// WorkStealingExecutor tests: lifecycle and exception safety (submit after
+// shutdown, zero jobs, exception propagation, destructor drain, thread-count
+// resolution), the concurrency contract (concurrent parallel_for callers,
+// exception mid-steal, shutdown racing stealers), steal-on/off bit identity
+// across the fast SC backends, the zero-allocation guarantee of the
+// parallel_for hot path, per-worker stat aggregation, and the pure
+// topology/pin-plan layer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +22,6 @@
 #include "nn/init.h"
 #include "nn/quantize.h"
 #include "runtime/inference_engine.h"
-#include "runtime/thread_pool.h"
 #include "runtime/topology.h"
 #include "runtime/work_stealing_executor.h"
 
@@ -106,6 +106,18 @@ TEST(WorkStealingExecutor, SubmitAndParallelForAfterShutdownThrowClearly) {
                std::runtime_error);
   EXPECT_EQ(counter.load(), 1);
   pool.shutdown();  // idempotent; the destructor calls it again
+}
+
+TEST(WorkStealingExecutor, ResolveThreadsMatchesConstructedPoolSize) {
+  EXPECT_GE(Executor::resolve_threads(0), 1u);
+  EXPECT_EQ(Executor::resolve_threads(3), 3u);
+  // Resolution alone: no executor is built at the clamped size.
+  EXPECT_EQ(Executor::resolve_threads(Executor::kMaxThreads + 7),
+            Executor::kMaxThreads);
+  for (unsigned requested : {0u, 1u, 4u}) {
+    WorkStealingExecutor pool(requested);
+    EXPECT_EQ(pool.size(), Executor::resolve_threads(requested));
+  }
 }
 
 TEST(WorkStealingExecutor, SingleWorkerRunsSubmitInlineWithResolvedFuture) {
@@ -400,15 +412,6 @@ TEST(WorkStealingExecutor, StatsCountersAreCoherent) {
   EXPECT_GE(s.steal_success_rate(), 0.0);
   EXPECT_LE(s.steal_success_rate(), 1.0);
   EXPECT_GE(s.queue_high_water, 1u);  // kTasks queued against 4 workers
-}
-
-TEST(WorkStealingExecutor, LegacyThreadPoolReportsWorkerCountOnly) {
-  ThreadPool pool(2);
-  pool.submit([] {}).get();
-  const ExecutorStats s = pool.stats();
-  EXPECT_EQ(s.workers, 2u);
-  EXPECT_EQ(s.tasks_run, 0u);  // the legacy pool predates the counters
-  EXPECT_EQ(s.steal_attempts, 0u);
 }
 
 TEST(WorkStealingExecutor, ServableExposesExecutorStats) {

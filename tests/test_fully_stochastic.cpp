@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "data/synthetic_mnist.h"
 #include "nn/init.h"
@@ -155,6 +156,65 @@ TEST(FullyStochastic, WeightsAreClampedToBipolarRange) {
   const nn::Tensor img = data::render_digit(0, 0);
   const auto ref = net.reference(img.data());
   for (double l : ref.logits) EXPECT_TRUE(std::isfinite(l));
+}
+
+void expect_same_result(const FullyStochasticMlp::Result& a,
+                        const FullyStochasticMlp::Result& b) {
+  EXPECT_EQ(a.predicted, b.predicted);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(a.logits[i], b.logits[i]) << "logit " << i;
+  }
+}
+
+// Non-finite inputs have one defined encoding: NaN takes SNG level 0 like
+// -1, and +-Inf clamp to +-1, for either accumulator.
+TEST(FullyStochastic, NonFiniteInputsEncodeLikeTheirClampedValues) {
+  TinyMlp m = make_weights(8);
+  nn::Tensor hostile = data::render_digit(3, 1);
+  nn::Tensor clamped = hostile;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float cases[][2] = {{std::numeric_limits<float>::quiet_NaN(), -1.0f},
+                            {inf, 1.0f},
+                            {-inf, -1.0f},
+                            {2.5f, 1.0f}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    hostile[100 + 37 * i] = cases[i][0];
+    clamped[100 + 37 * i] = cases[i][1];
+  }
+  for (const ScAccumulator acc : {ScAccumulator::kApc, ScAccumulator::kMuxTree}) {
+    FullyStochasticConfig cfg;
+    cfg.log2_n = 6;
+    cfg.accumulator = acc;
+    FullyStochasticMlp net(m.w1, m.b1, m.w2, m.b2, cfg);
+    expect_same_result(net.infer(hostile.data()), net.infer(clamped.data()));
+  }
+}
+
+// A NaN hidden activation (here from a NaN bias) is re-encoded for layer 2
+// at level 0, exactly like a saturated -1 hidden unit.
+TEST(FullyStochastic, NanHiddenValueEncodesLikeMinusOne) {
+  constexpr int kUnit = 5;
+  TinyMlp nan_unit = make_weights(9);
+  nan_unit.b1[kUnit] = std::numeric_limits<float>::quiet_NaN();
+  // Same network with unit kUnit driven to tanh(-785) == -1 exactly: every
+  // weight and the bias at -1 against an all-ones image.
+  TinyMlp saturated = make_weights(9);
+  saturated.b1[kUnit] = -1.0f;
+  for (int i = 0; i < 784; ++i) saturated.w1[kUnit * 784 + i] = -1.0f;
+  nn::Tensor ones({784});
+  for (std::size_t i = 0; i < ones.size(); ++i) ones[i] = 1.0f;
+
+  FullyStochasticConfig cfg;
+  cfg.log2_n = 6;
+  const auto a = FullyStochasticMlp(nan_unit.w1, nan_unit.b1, nan_unit.w2,
+                                    nan_unit.b2, cfg)
+                     .infer(ones.data());
+  const auto b = FullyStochasticMlp(saturated.w1, saturated.b1, saturated.w2,
+                                    saturated.b2, cfg)
+                     .infer(ones.data());
+  ASSERT_TRUE(std::isnan(a.hidden[kUnit]));
+  ASSERT_EQ(b.hidden[kUnit], -1.0);
+  expect_same_result(a, b);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/inference_engine.h"
-#include "runtime/thread_pool.h"
 
 namespace scbnn::runtime {
 namespace {

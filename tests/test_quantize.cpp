@@ -118,16 +118,6 @@ TEST(Quantize, Validation) {
   EXPECT_THROW((void)quantize_conv_weights(w, 17), std::invalid_argument);
 }
 
-TEST(QuantizeActivations, GridAndClamping) {
-  const float x[5] = {0.0f, 0.5f, 1.0f, -0.2f, 1.7f};
-  const auto q = quantize_activations(x, 5, 4);
-  EXPECT_EQ(q[0], 0u);
-  EXPECT_EQ(q[1], 8u);
-  EXPECT_EQ(q[2], 16u);
-  EXPECT_EQ(q[3], 0u);   // clamped low
-  EXPECT_EQ(q[4], 16u);  // clamped high
-}
-
 class QuantizeBitsSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(QuantizeBitsSweep, LevelMagnitudeNeverExceedsFullScale) {

@@ -1,18 +1,18 @@
-// Serving-runtime tests: thread-pool lifecycle and exception safety, the
-// backend registry, the determinism contract of the batched inference
-// engine (same seed => bit-identical features at any thread count), and
-// the vectorized zero-allocation tail fast path (bit-identity vs the
-// Network::forward reference, warm-path allocation count, InferencePlan
-// error paths).
+// Serving-runtime tests: the backend registry, the determinism contract of
+// the batched inference engine (same seed => bit-identical features at any
+// thread count), and the vectorized zero-allocation tail fast path
+// (bit-identity vs the Network::forward reference, warm-path allocation
+// counts for the engine and the adaptive ladder built from engines,
+// InferencePlan error paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/synthetic_mnist.h"
@@ -27,9 +27,9 @@
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "nn/quantize.h"
+#include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
 #include "runtime/inference_engine.h"
-#include "runtime/thread_pool.h"
 #include "sc/simd.h"
 
 // Every heap allocation in the binary is counted (zero-allocation
@@ -45,113 +45,6 @@ nn::QuantizedConvWeights sample_qweights(int kernels, unsigned bits,
   nn::Tensor w({kernels, 1, 5, 5});
   for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.normal(0.0f, 0.3f);
   return nn::quantize_conv_weights(w, bits);
-}
-
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPool, TaskExceptionSurfacesInFutureAndPoolSurvives) {
-  ThreadPool pool(2);
-  auto bad = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 8);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      (void)pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++counter;
-      });
-    }
-  }  // ~ThreadPool joins after draining
-  EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryJobOnceWithValidSlots) {
-  ThreadPool pool(4);
-  constexpr int kJobs = 123;
-  std::vector<std::atomic<int>> hits(kJobs);
-  std::vector<std::atomic<int>> slot_seen(kJobs);
-  pool.parallel_for(kJobs, [&](int job, unsigned worker) {
-    ASSERT_LT(worker, pool.size());  // jobs run on pool workers only
-    hits[static_cast<std::size_t>(job)]++;
-    slot_seen[static_cast<std::size_t>(job)] = static_cast<int>(worker);
-  });
-  for (int i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "job " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptionAndStaysUsable) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(50,
-                                 [](int job, unsigned) {
-                                   if (job == 7) {
-                                     throw std::invalid_argument("job 7");
-                                   }
-                                 }),
-               std::invalid_argument);
-  // Pool is reusable after a failed loop.
-  std::atomic<int> counter{0};
-  pool.parallel_for(10, [&](int, unsigned) { ++counter; });
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, ParallelForZeroJobsIsANoOp) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](int, unsigned) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrowsClearly) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  auto before = pool.submit([&counter] { ++counter; });
-  before.get();
-  pool.shutdown();
-  // Work submitted now would never run — it must be refused loudly.
-  try {
-    (void)pool.submit([&counter] { ++counter; });
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("shut down"), std::string::npos);
-  }
-  EXPECT_THROW(pool.parallel_for(4, [](int, unsigned) {}),
-               std::runtime_error);
-  EXPECT_EQ(counter.load(), 1);
-  pool.shutdown();  // idempotent; the destructor calls it again
-}
-
-TEST(ThreadPool, ResolveThreadsMatchesConstructedPoolSize) {
-  EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
-  EXPECT_EQ(ThreadPool::resolve_threads(3), 3u);
-  EXPECT_EQ(ThreadPool::resolve_threads(ThreadPool::kMaxThreads + 7),
-            ThreadPool::kMaxThreads);
-  for (unsigned requested : {0u, 1u, 4u}) {
-    ThreadPool pool(requested);
-    EXPECT_EQ(pool.size(), ThreadPool::resolve_threads(requested));
-  }
 }
 
 // -------------------------------------------------------- BackendRegistry
@@ -239,7 +132,7 @@ TEST(InferenceEngine, RejectsNullEngineAndBadConfig) {
   EXPECT_THROW(InferenceEngine("sc-proposed", qw, cfg, rc),
                std::invalid_argument);
   rc.chunk_images = 8;
-  rc.threads = ThreadPool::kMaxThreads + 1;  // absurd, not silently clamped
+  rc.threads = Executor::kMaxThreads + 1;  // absurd, not silently clamped
   EXPECT_THROW(InferenceEngine("sc-proposed", qw, cfg, rc),
                std::invalid_argument);
 }
@@ -247,9 +140,9 @@ TEST(InferenceEngine, RejectsNullEngineAndBadConfig) {
 TEST(RuntimeConfig, ValidateAcceptsDefaultsAndRejectsNonsense) {
   EXPECT_NO_THROW(RuntimeConfig{}.validate());
   RuntimeConfig rc;
-  rc.threads = ThreadPool::kMaxThreads;  // at the cap is still fine
+  rc.threads = Executor::kMaxThreads;  // at the cap is still fine
   EXPECT_NO_THROW(rc.validate());
-  rc.threads = ThreadPool::kMaxThreads + 1;
+  rc.threads = Executor::kMaxThreads + 1;
   EXPECT_THROW(rc.validate(), std::invalid_argument);
   rc.threads = 0;
   rc.chunk_images = -3;
@@ -524,6 +417,58 @@ TEST(FastTail, FastFirstLayerWarmPathIsAllocationFree) {
     (void)rig.engine.classify(split.train.images.data(), 5, preds.data());
     const long long after = g_heap_allocs.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0) << "threads=" << threads << ": warm classify() allocated "
+                                 << (after - before) << " times";
+  }
+}
+
+// The ladder is engines plus a gather and a scatter: a warm 4/8-bit
+// sc-proposed-fast ladder that escalates part of its batch to the 8-bit
+// rung allocates nothing either, on one worker or several.
+TEST(FastTail, AdaptiveLadderWarmPathIsAllocationFree) {
+  const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 67);
+  auto ladder_at = [](double margin, std::initializer_list<unsigned> bits,
+                      unsigned threads) {
+    std::vector<AdaptiveRung> rungs;
+    for (const unsigned b : bits) {
+      AdaptiveRung rung;
+      hybrid::FirstLayerConfig c;
+      c.bits = b;
+      rung.engine = BackendRegistry::instance().create(
+          "sc-proposed-fast", sample_qweights(kTestLeNet.conv1_kernels, b, 9),
+          c);
+      nn::Rng rng(77);
+      rung.tail = hybrid::build_tail(kTestLeNet, rng);
+      rungs.push_back(std::move(rung));
+    }
+    RuntimeConfig rc;
+    rc.threads = threads;
+    rc.chunk_images = 4;
+    return std::make_unique<AdaptivePipeline>(std::move(rungs), margin, rc);
+  };
+  // The median 4-bit margin: strict < escalates the frames below it.
+  std::vector<double> margins;
+  for (const AdaptiveOutcome& o :
+       ladder_at(0.0, {4u}, 1)->classify_outcomes(split.train.images)) {
+    margins.push_back(o.margin);
+  }
+  std::sort(margins.begin(), margins.end());
+  const double margin = margins[margins.size() / 2];
+
+  for (const unsigned threads : {1u, 2u}) {
+    const auto ladder = ladder_at(margin, {4u, 8u}, threads);
+    std::vector<Prediction> preds(12);
+    (void)ladder->classify(split.train.images.data(), 12, preds.data());
+    (void)ladder->classify(split.train.images.data(), 12, preds.data());
+
+    const long long before = g_heap_allocs.load(std::memory_order_relaxed);
+    (void)ladder->classify(split.train.images.data(), 12, preds.data());
+    const int escalated = ladder->last_stats().rungs[1].images_in;
+    (void)ladder->classify(split.train.images.data(), 5, preds.data());
+    const long long after = g_heap_allocs.load(std::memory_order_relaxed);
+    EXPECT_GT(escalated, 0) << "threads=" << threads;
+    EXPECT_LT(escalated, 12) << "threads=" << threads;
+    EXPECT_EQ(after - before, 0) << "threads=" << threads
+                                 << ": warm ladder classify() allocated "
                                  << (after - before) << " times";
   }
 }

@@ -68,7 +68,6 @@ std::shared_ptr<runtime::AdaptivePipeline> make_adaptive_backend(
   std::vector<runtime::AdaptiveRung> rungs;
   for (unsigned bits : {3u, 6u}) {
     runtime::AdaptiveRung rung;
-    rung.bits = bits;
     const auto qw =
         nn::quantize_conv_weights(hybrid::base_conv1_weights(base), bits);
     hybrid::FirstLayerConfig flc;

@@ -66,7 +66,6 @@ std::unique_ptr<AdaptivePipeline> make_adaptive_backend(unsigned threads) {
   std::vector<AdaptiveRung> rungs;
   for (unsigned bits : {3u, 6u}) {
     AdaptiveRung rung;
-    rung.bits = bits;
     const auto qw =
         nn::quantize_conv_weights(hybrid::base_conv1_weights(base), bits);
     hybrid::FirstLayerConfig flc;
